@@ -23,10 +23,8 @@ from .methods import (
 from .store import (
     CheckpointError,
     FingerprintMismatch,
-    SchemaFingerprint,
     Tensor,
     TensorMap,
-    fingerprint,
     read_checkpoint,
     write_checkpoint,
 )
@@ -34,7 +32,6 @@ from .vectors import (
     SimilarityMatrix,
     TaskVector,
     add,
-    axpy_sum,
     compute_deltas,
     cosine_matrix,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "MergeFn",
     "MergeSpec",
     "PoolSpec",
-    "SchemaFingerprint",
     "SearchSpace",
     "SimilarityMatrix",
     "TaskVector",
@@ -68,7 +64,6 @@ __all__ = [
     "WeaveReport",
     "add",
     "available_methods",
-    "axpy_sum",
     "best_lambda_histogram",
     "breadcrumbs",
     "build_augmented",
@@ -77,7 +72,6 @@ __all__ = [
     "dare",
     "default_lambda_range",
     "default_search_space",
-    "fingerprint",
     "magmax",
     "pool",
     "read_checkpoint",

@@ -188,10 +188,10 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     spec = _merge_spec(args, config)
-    registry_lookup(spec.method)
+    merge_fn = registry_lookup(spec.method)
     pretrained, finetuned, labels = _read_inputs(args)
     deltas = compute_deltas(pretrained, finetuned, labels=labels)
-    merged = registry_lookup(spec.method)(deltas, spec)
+    merged = merge_fn(deltas, spec)
     write_checkpoint(add(pretrained, merged), args.out)
     log.info("wrote %s", args.out)
     return 0

@@ -3,7 +3,9 @@
 A merge function maps (task vectors, spec) to a single merged delta map.
 All built-ins work tensor by tensor, which the sweep engine relies on for
 streaming: merging a sub-map equals the sub-map of the full merge.
-Registered extensions must preserve that property to stream correctly.
+Registered extensions must preserve that property: a sweep calls a merge
+without a base kernel (every registered extension) once per tensor per
+scaling factor, on a one-tensor slice of the task vectors.
 
 Elementwise arithmetic accumulates in float64 and rounds once to float32
 per element, so results are independent of chunking and thread count and
@@ -39,15 +41,6 @@ __all__ = [
 
 MergeFn = Callable[[Sequence[TaskVector], "MergeSpec"], TensorMap]
 
-# Hyperparameters each built-in accepts; anything else is rejected up front.
-_METHOD_PARAMS = {
-    "task_arithmetic": frozenset(),
-    "dare": frozenset({"drop_rate"}),
-    "ties": frozenset({"keep_fraction"}),
-    "breadcrumbs": frozenset({"beta", "gamma"}),
-    "magmax": frozenset(),
-}
-
 
 @dataclass(frozen=True)
 class MergeSpec:
@@ -67,26 +60,12 @@ class MergeSpec:
             raise ValueError(f"lambda must be a positive finite scalar, got {self.lam}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        allowed = _METHOD_PARAMS.get(self.method)
-        if allowed is not None:
-            unknown = sorted(set(self.params) - allowed)
+        method = _REGISTRY.get(self.method)
+        if method is not None and method.params is not None:
+            unknown = sorted(set(self.params) - method.params)
             if unknown:
                 raise ValueError(f"{self.method} does not accept parameter(s): {', '.join(unknown)}")
-        if self.method == "dare":
-            p = self._require("drop_rate")
-            if not 0 <= p < 1:
-                raise ValueError(f"drop_rate must be in [0, 1), got {p}")
-        elif self.method == "ties":
-            k = self._require("keep_fraction")
-            if not 0 < k <= 1:
-                raise ValueError(f"keep_fraction must be in (0, 1], got {k}")
-        elif self.method == "breadcrumbs":
-            beta, gamma = self._require("beta"), self._require("gamma")
-            if not (0 <= beta < 1 and 0 <= gamma < 1 and beta + gamma < 1):
-                raise ValueError(
-                    f"beta and gamma must each be in [0, 1) with beta + gamma < 1, "
-                    f"got beta={beta} gamma={gamma}"
-                )
+            method.check(self)
 
     def _require(self, key: str) -> float:
         if key not in self.params:
@@ -122,6 +101,42 @@ def _accumulate(parts: Sequence[np.ndarray]) -> np.ndarray:
 # from (tensor name, per-task flat float32 slices, task indices, spec),
 # in float64. The merged tensor at factor lam is (lam * base) rounded to
 # float32, so a sweep evaluates the expensive part once and rescales.
+_BaseKernel = Callable[[str, list[np.ndarray], Sequence[int], MergeSpec], np.ndarray]
+
+
+def _tensor_members(
+    name: str,
+    deltas: Sequence[TaskVector],
+    merge_fn: MergeFn | None,
+    kernel: _BaseKernel | None,
+    spec: MergeSpec,
+    lambdas: Sequence[float],
+) -> list[np.ndarray]:
+    """Tensor ``name`` merged at each factor in ``lambdas``, as flat float32.
+
+    With a base kernel, the base is computed once and rescaled per factor.
+    Without one, ``merge_fn`` runs on the one-tensor slice of the task
+    vectors at every factor.
+    """
+    if kernel is not None:
+        flats = [tv.delta.array(name).ravel() for tv in deltas]
+        base = kernel(name, flats, [tv.index for tv in deltas], spec)
+        return [(lam * base).astype(np.float32) for lam in lambdas]
+    slices = [
+        TaskVector(TensorMap({name: tv.delta[name]}), source_name=tv.source_name, index=tv.index)
+        for tv in deltas
+    ]
+    return [merge_fn(slices, spec.with_lambda(lam)).array(name).ravel() for lam in lambdas]
+
+
+def _per_tensor_scaled(deltas: Sequence[TaskVector], spec: MergeSpec, kernel: _BaseKernel) -> TensorMap:
+    _check_deltas(deltas)
+    return TensorMap(
+        {
+            name: _tensor_members(name, deltas, None, kernel, spec, (spec.lam,))[0].reshape(tensor.shape)
+            for name, tensor in deltas[0].delta.items()
+        }
+    )
 
 
 def _ta_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
@@ -140,15 +155,10 @@ def _dare_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     return _accumulate(masked)
 
 
-def _per_tensor_scaled(deltas: Sequence[TaskVector], spec: MergeSpec, base_kernel) -> TensorMap:
-    _check_deltas(deltas)
-    indices = [tv.index for tv in deltas]
-    out = {}
-    for name, tensor in deltas[0].delta.items():
-        flats = [tv.delta.array(name).ravel() for tv in deltas]
-        base = base_kernel(name, flats, indices, spec)
-        out[name] = (spec.lam * base).astype(np.float32).reshape(tensor.shape)
-    return TensorMap(out)
+def _check_dare(spec: MergeSpec) -> None:
+    p = spec._require("drop_rate")
+    if not 0 <= p < 1:
+        raise ValueError(f"drop_rate must be in [0, 1), got {p}")
 
 
 def task_arithmetic(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
@@ -200,6 +210,12 @@ def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     )
 
 
+def _check_ties(spec: MergeSpec) -> None:
+    k = spec._require("keep_fraction")
+    if not 0 < k <= 1:
+        raise ValueError(f"keep_fraction must be in (0, 1], got {k}")
+
+
 def ties(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     """Trim to the top-k fraction by magnitude, elect a sign, merge agreeing values.
 
@@ -228,6 +244,15 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
     return _accumulate(masked)
 
 
+def _check_breadcrumbs(spec: MergeSpec) -> None:
+    beta, gamma = spec._require("beta"), spec._require("gamma")
+    if not (0 <= beta < 1 and 0 <= gamma < 1 and beta + gamma < 1):
+        raise ValueError(
+            f"beta and gamma must each be in [0, 1) with beta + gamma < 1, "
+            f"got beta={beta} gamma={gamma}"
+        )
+
+
 def breadcrumbs(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     """Mask out the smallest and largest magnitudes, then the scaled sum.
 
@@ -253,34 +278,49 @@ def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     return _per_tensor_scaled(deltas, spec, _magmax_base)
 
 
-_REGISTRY: dict[str, MergeFn] = {}
-_LAMBDA_RANGES: dict[str, tuple[float, float]] = {}
+@dataclass(frozen=True)
+class _Method:
+    """Everything known about one merge method name.
 
-# Keyed by function object, so a name re-registered with a custom
-# implementation never inherits a built-in's shortcut.
-_SWEEP_BASES = {
-    task_arithmetic: _ta_base,
-    dare: _dare_base,
-    ties: _ties_base,
-    breadcrumbs: _breadcrumbs_base,
-    magmax: _magmax_base,
+    Built-ins carry their base kernel, the parameter names they accept
+    and a check of the values; registered extensions carry neither and
+    accept any parameters.
+    """
+
+    fn: MergeFn
+    lambda_range: tuple[float, float] | None = None
+    kernel: _BaseKernel | None = None
+    params: frozenset[str] | None = None
+    check: Callable[[MergeSpec], None] = lambda spec: None
+
+
+_REGISTRY: dict[str, _Method] = {
+    "task_arithmetic": _Method(task_arithmetic, (0.1, 1.0), _ta_base, frozenset()),
+    "dare": _Method(dare, (0.1, 1.0), _dare_base, frozenset({"drop_rate"}), _check_dare),
+    "ties": _Method(ties, (0.1, 1.5), _ties_base, frozenset({"keep_fraction"}), _check_ties),
+    "breadcrumbs": _Method(
+        breadcrumbs, (0.1, 1.0), _breadcrumbs_base, frozenset({"beta", "gamma"}), _check_breadcrumbs
+    ),
+    "magmax": _Method(magmax, (0.1, 1.0), _magmax_base, frozenset()),
 }
 
 
-def sweep_base_kernel(merge_fn: MergeFn):
+def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel | None:
     """The factor-free per-tensor kernel behind a merge function, if any.
 
     Sweeps use it to evaluate the merge once per tensor and rescale per
-    factor; functions without one are called in full at every factor.
+    factor; functions without one are called at every factor. A name
+    re-registered with a custom function has no kernel.
     """
-    return _SWEEP_BASES.get(merge_fn)
+    return next((m.kernel for m in _REGISTRY.values() if m.fn is merge_fn and m.kernel), None)
 
 
 def register_merge(name: str, fn: MergeFn, lambda_range: tuple[float, float] | None = None) -> None:
-    """Register a merge function; extensions plug in through here."""
-    _REGISTRY[name] = fn
-    if lambda_range is not None:
-        _LAMBDA_RANGES[name] = lambda_range
+    """Register a merge function; extensions plug in through here.
+
+    The entry replaces any earlier one of that name, built-in or not.
+    """
+    _REGISTRY[name] = _Method(fn, lambda_range)
 
 
 def registry_lookup(name: str) -> MergeFn:
@@ -288,7 +328,7 @@ def registry_lookup(name: str) -> MergeFn:
         raise ValueError(
             f"unknown merge method {name!r}; available: {', '.join(available_methods())}"
         )
-    return _REGISTRY[name]
+    return _REGISTRY[name].fn
 
 
 def available_methods() -> list[str]:
@@ -297,11 +337,5 @@ def available_methods() -> list[str]:
 
 def default_lambda_range(name: str) -> tuple[float, float] | None:
     """The registered default scaling-factor range, if any."""
-    return _LAMBDA_RANGES.get(name)
-
-
-register_merge("task_arithmetic", task_arithmetic, lambda_range=(0.1, 1.0))
-register_merge("dare", dare, lambda_range=(0.1, 1.0))
-register_merge("ties", ties, lambda_range=(0.1, 1.5))
-register_merge("breadcrumbs", breadcrumbs, lambda_range=(0.1, 1.0))
-register_merge("magmax", magmax, lambda_range=(0.1, 1.0))
+    method = _REGISTRY.get(name)
+    return method.lambda_range if method is not None else None

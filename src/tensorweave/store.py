@@ -30,8 +30,6 @@ __all__ = [
     "FingerprintMismatch",
     "Tensor",
     "TensorMap",
-    "SchemaFingerprint",
-    "fingerprint",
     "read_checkpoint",
     "write_checkpoint",
 ]
@@ -146,35 +144,6 @@ class TensorMap:
 
     def __repr__(self) -> str:
         return f"TensorMap({len(self._entries)} tensors, {self.total_elements()} elements)"
-
-
-@dataclass(frozen=True, eq=False)
-class SchemaFingerprint:
-    """Ordered (name, dtype, shape) triples; equality ignores dtype.
-
-    Two maps are merge-compatible exactly when their fingerprints compare
-    equal, so dtype is carried for inspection but excluded from equality.
-    """
-
-    entries: tuple[tuple[str, str, tuple[int, ...]], ...]
-
-    def _key(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((name, shape) for name, _, shape in self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchemaFingerprint):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-def fingerprint(tensor_map: TensorMap) -> SchemaFingerprint:
-    """Schema of a map: ordered (name, stored dtype, shape) triples."""
-    return SchemaFingerprint(
-        tuple((name, t.stored_dtype, t.shape) for name, t in tensor_map.items())
-    )
 
 
 def require_compatible(reference: TensorMap, candidate: TensorMap, label: str = "input") -> None:

@@ -8,13 +8,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .store import Tensor, TensorMap, require_compatible
+from .store import Tensor, TensorMap, _as_float32, require_compatible
 
 __all__ = [
     "TaskVector",
     "SimilarityMatrix",
     "compute_deltas",
-    "axpy_sum",
     "add",
     "cosine_matrix",
 ]
@@ -52,30 +51,12 @@ def compute_deltas(
     return out
 
 
-def axpy_sum(vectors: Sequence[TensorMap], coefficients: Sequence[float]) -> TensorMap:
-    """Elementwise sum of c_i * v_i, accumulated in float64, stored float32."""
-    if not vectors:
-        raise ValueError("axpy_sum needs at least one tensor map")
-    if len(vectors) != len(coefficients):
-        raise ValueError(f"{len(vectors)} maps but {len(coefficients)} coefficients")
-    first = vectors[0]
-    for pos, other in enumerate(vectors[1:], start=2):
-        require_compatible(first, other, label=f"map {pos}")
-    out = {}
-    for name, tensor in first.items():
-        acc = np.zeros(tensor.shape, dtype=np.float64)
-        for coeff, vec in zip(coefficients, vectors):
-            acc = acc + float(coeff) * vec.array(name).astype(np.float64)
-        out[name] = acc.astype(np.float32)
-    return TensorMap(out)
-
-
 def add(base: TensorMap, delta: TensorMap) -> TensorMap:
     """Elementwise base + delta; stored dtypes follow the base map."""
     require_compatible(base, delta, label="delta")
     return TensorMap(
         {
-            name: Tensor(t.values + delta.array(name), stored_dtype=t.stored_dtype)
+            name: Tensor(_as_float32(t.values + delta.array(name), name), stored_dtype=t.stored_dtype)
             for name, t in base.items()
         },
         metadata=base.metadata,

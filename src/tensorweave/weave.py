@@ -3,10 +3,13 @@
 Instead of searching for one good scaling factor, the driver runs the
 merge function at every factor in a search space, pools the resulting
 weights per parameter (optionally together with the raw task vectors),
-and adds the pooled delta back onto the pre-trained weights. Execution
+and adds the pooled delta back onto the pre-trained weights. Pooling
 streams tensor by tensor: the member slices for one tensor are
-materialized, pooled, and released before the next, bounding peak memory
-to roughly (members + 2) times the largest tensor.
+materialized, pooled, and released before the next. The inputs, every
+task vector and the output are held whole, so peak memory is 2 x tasks + 2
+whole models plus, per worker thread, a small multiple of (members +
+tasks) x the tensor in flight: its members, the kernel's float64
+intermediates and the pooling's working copy.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .methods import MergeSpec, default_lambda_range, registry_lookup, sweep_base_kernel
+from .methods import _accumulate, _check_deltas, _tensor_members
 from .rng import stream_key, uniform01
-from .store import Tensor, TensorMap, require_compatible
+from .store import Tensor, TensorMap, _as_float32, require_compatible
 from .vectors import TaskVector, compute_deltas
 
 __all__ = [
@@ -159,34 +163,23 @@ def build_augmented(
     """
     if not deltas:
         raise ValueError("build_augmented needs at least one task vector")
-    base_kernel = sweep_base_kernel(merge_fn)
-    if base_kernel is None:
-        return [merge_fn(deltas, spec_template.with_lambda(lam)) for lam in space.lambdas]
-    first = merge_fn(deltas, spec_template.with_lambda(space.lambdas[0]))
-    indices = [tv.index for tv in deltas]
-    bases = {
-        name: base_kernel(name, [tv.delta.array(name).ravel() for tv in deltas], indices, spec_template)
-        for name in first
+    _check_deltas(deltas)
+    kernel = sweep_base_kernel(merge_fn)
+    shapes = {name: tensor.shape for name, tensor in deltas[0].delta.items()}
+    per_tensor = {
+        name: _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
+        for name in shapes
     }
-    rest = [
-        TensorMap(
-            {
-                name: (lam * bases[name]).astype(np.float32).reshape(first[name].shape)
-                for name in first
-            }
-        )
-        for lam in space.lambdas[1:]
+    return [
+        TensorMap({name: flats[pos].reshape(shapes[name]) for name, flats in per_tensor.items()})
+        for pos in range(len(space.lambdas))
     ]
-    return [first, *rest]
 
 
 def _pool_flat(name: str, flats: list[np.ndarray], pooling: str, seed: int) -> np.ndarray:
     count = len(flats)
     if pooling == "avg":
-        acc = np.zeros(flats[0].size, dtype=np.float64)
-        for flat in flats:
-            acc = acc + flat.astype(np.float64)
-        return (acc / count).astype(np.float32)
+        return (_accumulate(flats) / count).astype(np.float32)
     stack = np.stack(flats)
     if pooling == "random":
         draws = uniform01(stream_key(seed, name, lane=0), stack.shape[1])
@@ -229,40 +222,22 @@ def weave(
     according to ``pool_spec``, and returns pretrained + pooled delta
     along with a run report.
     """
+    started = time.perf_counter()
     if not finetuned:
         raise ValueError("weave needs at least one fine-tuned checkpoint")
     merge_fn = registry_lookup(spec_template.method)
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
     deltas = compute_deltas(pretrained, finetuned, labels=labels)
+    kernel = sweep_base_kernel(merge_fn)
 
-    started = time.perf_counter()
-    base_kernel = sweep_base_kernel(merge_fn)
-    indices = [tv.index for tv in deltas]
-
-    def weave_one(name: str) -> tuple[str, np.ndarray]:
-        shape = pretrained[name].shape
-        delta_flats = [tv.delta.array(name).ravel() for tv in deltas]
-        flats: list[np.ndarray] = []
-        if pool_spec.include_deltas:
-            flats.extend(delta_flats)
-        if base_kernel is not None:
-            base = base_kernel(name, delta_flats, indices, spec_template)
-            flats.extend((lam * base).astype(np.float32) for lam in space.lambdas)
-        else:
-            slices = [
-                TaskVector(
-                    TensorMap({name: tv.delta[name]}),
-                    source_name=tv.source_name,
-                    index=tv.index,
-                )
-                for tv in deltas
-            ]
-            for lam in space.lambdas:
-                merged = merge_fn(slices, spec_template.with_lambda(lam))
-                flats.append(merged.array(name).ravel())
+    def weave_one(name: str) -> tuple[str, Tensor]:
+        flats = [tv.delta.array(name).ravel() for tv in deltas] if pool_spec.include_deltas else []
+        flats += _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
         pooled = _pool_flat(name, flats, pool_spec.pooling, pool_spec.seed)
-        return name, pretrained.array(name) + pooled.reshape(shape)
+        pre = pretrained[name]
+        rebased = _as_float32(pre.values + pooled.reshape(pre.shape), name)
+        return name, Tensor(rebased, stored_dtype=pre.stored_dtype)
 
     names = pretrained.names
     if threads > 1 and len(names) > 1:
@@ -271,10 +246,7 @@ def weave(
     else:
         results = dict(weave_one(name) for name in names)
 
-    final = TensorMap(
-        {name: Tensor(results[name], stored_dtype=pretrained[name].stored_dtype) for name in names},
-        metadata=pretrained.metadata,
-    )
+    final = TensorMap(results, metadata=pretrained.metadata)
     n_members = len(space.lambdas) + (len(deltas) if pool_spec.include_deltas else 0)
     report = WeaveReport(
         method=spec_template.method,

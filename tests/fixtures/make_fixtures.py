@@ -16,6 +16,14 @@ SHAPES = {
     "head.weight": (2, 3),
     "logit_scale": (),
 }
+# file name -> (seed, tensor stored as F16, dtype policy)
+CHECKPOINTS = {
+    "pretrained.safetensors": (1, None, "force_f32"),
+    "task_cars.safetensors": (2, None, "force_f32"),
+    "task_mnist.safetensors": (3, None, "force_f32"),
+    # keep one F16 payload to exercise widening on load
+    "task_half.safetensors": (4, "head.weight", "keep"),
+}
 
 
 def build(seed: int, half_name: str | None = None) -> TensorMap:
@@ -33,11 +41,8 @@ def build(seed: int, half_name: str | None = None) -> TensorMap:
 
 
 def main() -> None:
-    write_checkpoint(build(1), HERE / "pretrained.safetensors")
-    write_checkpoint(build(2), HERE / "task_cars.safetensors")
-    write_checkpoint(build(3), HERE / "task_mnist.safetensors")
-    # keep one F16 payload to exercise widening on load
-    write_checkpoint(build(4, half_name="head.weight"), HERE / "task_half.safetensors", dtype_policy="keep")
+    for file_name, (seed, half_name, dtype_policy) in CHECKPOINTS.items():
+        write_checkpoint(build(seed, half_name), HERE / file_name, dtype_policy=dtype_policy)
     print("fixtures written to", HERE)
 
 

@@ -7,6 +7,7 @@ from tensorweave import (
     MergeSpec,
     PoolSpec,
     SearchSpace,
+    TensorMap,
     add,
     compute_deltas,
     read_checkpoint,
@@ -87,6 +88,25 @@ def test_merge_missing_method_param_exits_2(tmp_path, capsys):
     code = run("merge", "--method", "dare", "--pretrained", PRE, "--out", tmp_path / "x", CARS)
     assert code == 2
     assert "drop_rate" in capsys.readouterr().err
+
+
+def test_float32_overflow_exits_1_naming_tensor(tmp_path, capsys):
+    # deltas of 1.3e38 are finite, but their sum and the re-based weights overflow float32
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(4, 2e38, dtype=np.float32)}), pre)
+    tasks = [tmp_path / f"task{i}.safetensors" for i in range(3)]
+    for path in tasks:
+        write_checkpoint(TensorMap({"block.weight": np.full(4, 3.3e38, dtype=np.float32)}), path)
+    out = tmp_path / "out.safetensors"
+    assert run("weave", "--method", "task_arithmetic", "--pretrained", pre, "--out", out, *tasks) == 1
+    assert "block.weight" in capsys.readouterr().err
+    code = run(
+        "merge", "--method", "task_arithmetic", "--lambda", "1.5",
+        "--pretrained", pre, "--out", out, tasks[0],
+    )
+    assert code == 1
+    assert "block.weight" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_weave_defaults_match_closed_form(tmp_path):

@@ -8,10 +8,8 @@ from tensorweave import (
     TaskVector,
     TensorMap,
     available_methods,
-    axpy_sum,
     breadcrumbs,
     dare,
-    fingerprint,
     magmax,
     registry_lookup,
     task_arithmetic,
@@ -77,8 +75,8 @@ def test_ta_single_identity():
 def test_ta_equals_unit_axpy():
     deltas = vecs([1.5, 2.5], [-0.5, 4.0], [2.0, -2.0])
     out = task_arithmetic(deltas, MergeSpec("task_arithmetic", lam=1.0))
-    summed = axpy_sum([tv.delta for tv in deltas], [1.0, 1.0, 1.0])
-    assert arrays_equal(out, summed)
+    rows = [tv.delta.array("w").tolist() for tv in deltas]
+    assert out.array("w").tolist() == oracles.merge_ta(rows, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -371,7 +369,8 @@ def test_fingerprint_preserved_and_deterministic(rng, method, params):
     spec = MergeSpec(method, lam=0.7, params=params, seed=11)
     fn = registry_lookup(method)
     out1, out2 = fn(deltas, spec), fn(deltas, spec)
-    assert fingerprint(out1) == fingerprint(deltas[0].delta)
+    schema = [(name, tensor.shape) for name, tensor in deltas[0].delta.items()]
+    assert [(name, tensor.shape) for name, tensor in out1.items()] == schema
     assert arrays_equal(out1, out2)
 
 

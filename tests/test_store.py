@@ -10,7 +10,6 @@ from tensorweave import (
     CheckpointError,
     Tensor,
     TensorMap,
-    fingerprint,
     read_checkpoint,
     write_checkpoint,
 )
@@ -129,16 +128,6 @@ def test_offsets_contiguous_and_sized(tmp_path):
     for (_, end), (begin, _) in zip(spans, spans[1:]):
         assert begin == end
     assert len(raw) == 8 + header_len + spans[-1][1]
-
-
-def test_fingerprint_equality_rules():
-    base = TensorMap({"w": np.ones(2, dtype=np.float32), "b": np.zeros(3, dtype=np.float32)})
-    same = TensorMap({"w": np.full(2, 9.0, dtype=np.float32), "b": np.ones(3, dtype=np.float32)})
-    assert fingerprint(base) == fingerprint(same)
-    other_shape = TensorMap({"w": np.ones(3, dtype=np.float32), "b": np.zeros(3, dtype=np.float32)})
-    assert fingerprint(base) != fingerprint(other_shape)
-    half = TensorMap({"w": Tensor(np.ones(2, dtype=np.float32), stored_dtype="F16"), "b": np.zeros(3, dtype=np.float32)})
-    assert fingerprint(base) == fingerprint(half)
 
 
 def test_dtype_policy_keep_and_force(tmp_path):

@@ -11,7 +11,6 @@ from tensorweave import (
     TaskVector,
     TensorMap,
     add,
-    axpy_sum,
     compute_deltas,
     cosine_matrix,
 )
@@ -58,38 +57,6 @@ def test_compute_deltas_name_mismatch():
     bad = tmap(v=[1.0])
     with pytest.raises(FingerprintMismatch):
         compute_deltas(pre, [bad])
-
-
-def test_axpy_sum_basic():
-    out = axpy_sum([tmap(w=[1.0, 2.0]), tmap(w=[3.0, 0.0])], [1.0, 1.0])
-    assert out.array("w").tolist() == [4.0, 2.0]
-
-
-def test_axpy_sum_zero_coefficients():
-    out = axpy_sum([tmap(w=[5.0, -7.0])], [0.0])
-    assert out.array("w").tolist() == [0.0, 0.0]
-
-
-def test_axpy_sum_matches_oracle(rng):
-    maps = [random_map(rng, {"a": (40,), "b": (3, 5)}) for _ in range(5)]
-    coeffs = [rng.uniform(-1, 1) for _ in range(5)]
-    out = axpy_sum(maps, coeffs)
-    for name in ("a", "b"):
-        flat = out.array(name).ravel()
-        for p in range(flat.size):
-            expected = math.fsum(
-                c * float(m.array(name).ravel()[p]) for c, m in zip(coeffs, maps)
-            )
-            assert abs(float(flat[p]) - expected) < 1e-6
-
-
-def test_axpy_linearity(rng):
-    maps = [random_map(rng, {"w": (64,)}) for _ in range(3)]
-    a = [rng.uniform(-1, 1) for _ in range(3)]
-    b = [rng.uniform(-1, 1) for _ in range(3)]
-    left = axpy_sum(maps, a).array("w") + axpy_sum(maps, b).array("w")
-    right = axpy_sum(maps, [x + y for x, y in zip(a, b)]).array("w")
-    np.testing.assert_allclose(left, right, atol=1e-6)
 
 
 def test_add_and_recover():

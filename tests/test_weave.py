@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from tensorweave import (
     weave,
 )
 
-from .conftest import map_to_lists, random_instance, random_map
+from .conftest import as_task_vectors, map_to_lists, random_instance, random_map
 from . import oracles
 
 
@@ -315,15 +317,22 @@ def test_registered_function_without_base_kernel_matches_builtin(rng):
 
 
 def test_build_augmented_fast_path_matches_per_factor_merges(rng):
-    from tensorweave import registry_lookup as lookup
+    from tensorweave import dare, register_merge, registry_lookup as lookup
+    from tensorweave.methods import sweep_base_kernel
+
+    register_merge("dare_wrapped", lambda deltas, spec: dare(deltas, spec))
+    assert sweep_base_kernel(lookup("dare_wrapped")) is None
 
     pre, finetuned = random_instance(rng, 2)
     deltas = compute_deltas(pre, finetuned)
     space = SearchSpace((0.2, 0.7, 1.1, 1.4))
     for method, params in (
+        ("task_arithmetic", {}),
         ("dare", {"drop_rate": 0.3}),
+        ("ties", {"keep_fraction": 0.4}),
         ("breadcrumbs", {"beta": 0.1, "gamma": 0.2}),
         ("magmax", {}),
+        ("dare_wrapped", {"drop_rate": 0.3}),
     ):
         spec = MergeSpec(method, params=params, seed=8)
         fn = lookup(method)
@@ -331,6 +340,23 @@ def test_build_augmented_fast_path_matches_per_factor_merges(rng):
         for lam, member in zip(space.lambdas, swept):
             direct = fn(deltas, spec.with_lambda(lam))
             assert member == direct
+
+
+def test_build_augmented_draws_each_dare_stream_once(monkeypatch, rng):
+    import tensorweave.methods as methods
+
+    keys = []
+    real_uniform01 = methods.uniform01
+
+    def counting_uniform01(key, count):
+        keys.append(key)
+        return real_uniform01(key, count)
+
+    monkeypatch.setattr(methods, "uniform01", counting_uniform01)
+    deltas = as_task_vectors([random_map(rng, {"a": (5,), "b": (2, 3), "c": (4,)}) for _ in range(2)])
+    spec = MergeSpec("dare", params={"drop_rate": 0.5}, seed=3)
+    build_augmented(deltas, registry_lookup("dare"), spec, SearchSpace((0.5, 1.0, 1.5)))
+    assert len(keys) == 2 * 3
 
 
 def test_weave_thread_count_invariance(rng):
@@ -385,6 +411,22 @@ def test_weave_report_fields(rng):
     import json
 
     json.dumps(payload)
+
+
+def test_weave_wall_time_includes_deltas(monkeypatch, rng):
+    import importlib
+
+    weave_module = importlib.import_module("tensorweave.weave")  # the package re-exports a function of that name
+    real_compute_deltas = weave_module.compute_deltas
+
+    def slow_compute_deltas(*args, **kwargs):
+        time.sleep(0.05)
+        return real_compute_deltas(*args, **kwargs)
+
+    monkeypatch.setattr(weave_module, "compute_deltas", slow_compute_deltas)
+    pre, finetuned = random_instance(rng, 2)
+    _, report = weave(pre, finetuned, MergeSpec("task_arithmetic"))
+    assert report.wall_time_s >= 0.05
 
 
 def test_weave_requires_inputs(rng):
