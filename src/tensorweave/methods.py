@@ -93,7 +93,7 @@ def _accumulate(parts: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise sum, float64 accumulation in task order."""
     acc = np.zeros(parts[0].shape, dtype=np.float64)
     for part in parts:
-        acc = acc + part.astype(np.float64)
+        np.add(acc, part, out=acc)
     return acc
 
 
@@ -184,30 +184,51 @@ def _trim_count(fraction: float, size: int) -> int:
     return min(size, max(1, math.ceil(fraction * size - 1e-9)))
 
 
+def _top_mask(mag: np.ndarray, count: int, ties_low: bool = True) -> np.ndarray:
+    """Mask of the ``count`` largest entries of ``mag``, selected by partition.
+
+    Every entry above the ``count``-th largest value is selected, and the
+    slots left over go to the entries equal to that value. Tie rules:
+
+    - ``ties_low`` (``ties``; the small side of ``breadcrumbs`` on ``-mag``):
+      the lowest flat indices win, the first ``count`` of a stable sort by
+      descending value;
+    - otherwise (the large side of ``breadcrumbs``): the highest flat
+      indices win, the last ``count`` of a stable sort by ascending value.
+
+    ``mag`` must hold no NaN, which finite tensors guarantee.
+    """
+    size = mag.size
+    if count <= 0:
+        return np.zeros(size, dtype=bool)
+    if count >= size:
+        return np.ones(size, dtype=bool)
+    threshold = np.partition(mag, size - count)[size - count]
+    mask = mag > threshold
+    need = count - int(np.count_nonzero(mask))
+    tied = np.flatnonzero(mag == threshold)
+    mask[tied[:need] if ties_low else tied[tied.size - need :]] = True
+    return mask
+
+
 def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
     k = spec._require("keep_fraction")
     keep = _trim_count(k, flats[0].size)
-    trimmed = []
-    for flat in flats:
-        order = np.argsort(-np.abs(flat), kind="stable")
-        mask = np.zeros(flat.size, dtype=bool)
-        mask[order[:keep]] = True
-        trimmed.append(np.where(mask, flat, np.float32(0.0)))
+    trimmed = [np.where(_top_mask(np.abs(flat), keep), flat, np.float32(0.0)) for flat in flats]
 
     elected = np.sign(_accumulate(trimmed))
 
+    # agree_sum starts at +0.0 and never becomes -0.0 (x + -x rounds to
+    # +0.0), so adding the signed zeros that values * agrees leaves for
+    # disagreeing elements changes no bit; where no value agrees, the sum
+    # is still +0.0 and dividing it by 1 gives the mean's +0.0 fallback
     agree_sum = np.zeros(flats[0].size, dtype=np.float64)
     agree_count = np.zeros(flats[0].size, dtype=np.int64)
     for values in trimmed:
-        agrees = np.sign(values.astype(np.float64)) == elected
-        agree_sum = agree_sum + np.where(agrees, values.astype(np.float64), 0.0)
-        agree_count = agree_count + agrees
-    return np.divide(
-        agree_sum,
-        agree_count,
-        out=np.zeros_like(agree_sum),
-        where=agree_count > 0,
-    )
+        agrees = np.sign(values) == elected
+        np.add(agree_sum, values * agrees, out=agree_sum)
+        np.add(agree_count, agrees, out=agree_count)
+    return np.divide(agree_sum, np.maximum(agree_count, 1), out=agree_sum)
 
 
 def _check_ties(spec: MergeSpec) -> None:
@@ -234,13 +255,9 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
     n_large = int(math.floor(gamma * size + 1e-9))
     masked = []
     for flat in flats:
-        order = np.argsort(np.abs(flat), kind="stable")
-        mask = np.ones(size, dtype=bool)
-        if n_small:
-            mask[order[:n_small]] = False
-        if n_large:
-            mask[order[size - n_large :]] = False
-        masked.append(np.where(mask, flat, np.float32(0.0)))
+        mag = np.abs(flat)
+        dropped = _top_mask(-mag, n_small) | _top_mask(mag, n_large, ties_low=False)
+        masked.append(np.where(dropped, np.float32(0.0), flat))
     return _accumulate(masked)
 
 

@@ -18,6 +18,7 @@ lexicographic order with contiguous offsets from zero).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -250,6 +251,8 @@ def write_checkpoint(
     ``force_f32`` (the default) writes every payload as F32 and records
     the original dtype of narrowed tensors under metadata key
     ``dtype.<name>``; ``keep`` writes each tensor in its stored dtype.
+    The bytes go to a temporary file beside ``path`` that replaces it only
+    once complete, so a failed write leaves no partial checkpoint behind.
     """
     if dtype_policy not in ("keep", "force_f32"):
         raise ValueError(f"dtype_policy must be 'keep' or 'force_f32', got {dtype_policy!r}")
@@ -281,8 +284,15 @@ def write_checkpoint(
         header[_METADATA_KEY] = metadata
 
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(struct.pack("<Q", len(encoded)))
-        handle.write(encoded)
-        for blob in blobs:
-            handle.write(blob)
+    target = Path(path)
+    partial = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
+    try:
+        with open(partial, "xb") as handle:
+            handle.write(struct.pack("<Q", len(encoded)))
+            handle.write(encoded)
+            for blob in blobs:
+                handle.write(blob)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

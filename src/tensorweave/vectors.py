@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .store import Tensor, TensorMap, _as_float32, require_compatible
+from .store import CheckpointError, Tensor, TensorMap, _as_float32, require_compatible
 
 __all__ = [
     "TaskVector",
@@ -37,17 +37,28 @@ def compute_deltas(
     finetuned: Sequence[TensorMap],
     labels: Sequence[str] | None = None,
 ) -> list[TaskVector]:
-    """Elementwise finetuned - pretrained for each checkpoint, in order."""
+    """Elementwise finetuned - pretrained for each checkpoint, in order.
+
+    A difference that overflows float32 raises CheckpointError naming the
+    checkpoint's label and the tensor.
+    """
     if labels is not None and len(labels) != len(finetuned):
         raise ValueError(f"got {len(labels)} labels for {len(finetuned)} checkpoints")
     out = []
     for pos, candidate in enumerate(finetuned):
         require_compatible(pretrained, candidate, label=f"fine-tuned checkpoint {pos + 1}")
-        delta = TensorMap(
-            {name: candidate.array(name) - t.values for name, t in pretrained.items()}
-        )
         label = labels[pos] if labels is not None else f"task{pos + 1}"
-        out.append(TaskVector(delta, source_name=label, index=pos + 1))
+        tensors = {}
+        for name, t in pretrained.items():
+            with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
+                diff = candidate.array(name) - t.values
+            try:
+                tensors[name] = Tensor(diff)
+            except CheckpointError:
+                raise CheckpointError(
+                    f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows float32"
+                ) from None
+        out.append(TaskVector(TensorMap(tensors), source_name=label, index=pos + 1))
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 
 import numpy as np
 
@@ -107,6 +108,26 @@ def test_float32_overflow_exits_1_naming_tensor(tmp_path, capsys):
     assert code == 1
     assert "block.weight" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_task_vector_names_checkpoint_and_tensor(tmp_path, capsys):
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(4, -3e38, dtype=np.float32)}), pre)
+    task = tmp_path / "task_far.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(4, 3e38, dtype=np.float32)}), task)
+    commands = [
+        ("weave", "--method", "task_arithmetic", "--pretrained", pre, "--out", tmp_path / "w.safetensors"),
+        ("merge", "--method", "task_arithmetic", "--pretrained", pre, "--out", tmp_path / "m.safetensors"),
+        ("deltas", "--pretrained", pre, "--out-dir", tmp_path / "deltas"),
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*command, task) == 1
+        err = capsys.readouterr().err
+        assert "task_far" in err and "block.weight" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_weave_defaults_match_closed_form(tmp_path):

@@ -24,6 +24,14 @@ def vecs(*rows):
     return as_task_vectors([TensorMap({"w": np.array(r, dtype=np.float32)}) for r in rows])
 
 
+# five values: magnitudes tie across signs, and both signed zeros occur
+TIE_ALPHABET = (-1.5, -0.0, 0.0, 1.5, 0.25)
+
+
+def f32_bytes(values: list[float]) -> bytes:
+    return np.array(values, dtype=np.float32).tobytes()
+
+
 def arrays_equal(a: TensorMap, b: TensorMap) -> bool:
     return all(a.array(n).tobytes() == b.array(n).tobytes() for n in a)
 
@@ -200,6 +208,12 @@ def test_ties_matches_oracle(rng):
         lam = rng.choice([0.1, 0.7, 1.0, 1.5])
         out = ties(vecs(*rows), MergeSpec("ties", lam=lam, params={"keep_fraction": k}))
         assert out.array("w").tolist() == oracles.merge_ties(rows, lam, keep_fraction=k)
+    # large and tie-dense, signed zeros included: the partition path of the top-k
+    for size in (1, 2, 257, 4099):
+        for k in (1e-9, 0.2, 0.999, 1.0):
+            rows = [[rng.choice(TIE_ALPHABET) for _ in range(size)] for _ in range(rng.randint(1, 4))]
+            out = ties(vecs(*rows), MergeSpec("ties", lam=0.7, params={"keep_fraction": k}))
+            assert out.array("w").tobytes() == f32_bytes(oracles.merge_ties(rows, 0.7, keep_fraction=k))
 
 
 def test_ties_trim_dominance(rng):
@@ -289,6 +303,12 @@ def test_breadcrumbs_matches_oracle(rng):
             vecs(*rows), MergeSpec("breadcrumbs", lam=lam, params={"beta": beta, "gamma": gamma})
         )
         assert out.array("w").tolist() == oracles.merge_breadcrumbs(rows, lam, beta=beta, gamma=gamma)
+    for size in (1, 2, 257, 4099):
+        for beta, gamma in ((0.45, 0.45), (0.3, 0.0), (0.0, 0.3), (0.1, 0.85)):
+            rows = [[rng.choice(TIE_ALPHABET) for _ in range(size)] for _ in range(rng.randint(1, 3))]
+            spec = MergeSpec("breadcrumbs", lam=0.7, params={"beta": beta, "gamma": gamma})
+            expected = oracles.merge_breadcrumbs(rows, 0.7, beta=beta, gamma=gamma)
+            assert breadcrumbs(vecs(*rows), spec).array("w").tobytes() == f32_bytes(expected)
 
 
 # -------------------------------------------------------------------- magmax

@@ -1,3 +1,4 @@
+import builtins
 import json
 import struct
 
@@ -11,6 +12,7 @@ from tensorweave import (
     Tensor,
     TensorMap,
     read_checkpoint,
+    store,
     write_checkpoint,
 )
 
@@ -269,3 +271,32 @@ def test_keep_policy_rejects_f16_overflow(tmp_path):
     big = TensorMap({"h": Tensor(np.array([1e20], dtype=np.float32), stored_dtype="F16")})
     with pytest.raises(CheckpointError, match="overflows"):
         write_checkpoint(big, tmp_path / "x.safetensors", dtype_policy="keep")
+
+
+def test_failed_write_leaves_existing_target_intact(tmp_path, monkeypatch):
+    target = tmp_path / "out.safetensors"
+    write_checkpoint(TensorMap({"a": np.arange(3, dtype=np.float32)}), target)
+    before = target.read_bytes()
+
+    class FailOnFirstBlob:
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:  # after the length prefix and the header
+                raise OSError("No space left on device")
+            return self.handle.write(data)
+
+    monkeypatch.setattr(store, "open", lambda *a, **k: FailOnFirstBlob(builtins.open(*a, **k)), raising=False)
+    replacement = TensorMap({"a": np.ones(3, dtype=np.float32), "b": np.ones(5, dtype=np.float32)})
+    with pytest.raises(OSError, match="No space"):
+        write_checkpoint(replacement, target)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.safetensors"]
