@@ -29,10 +29,6 @@ from .weave import PoolSpec, SearchSpace, default_search_space, weave
 log = logging.getLogger("tensorweave")
 
 
-class UsageError(Exception):
-    """Bad flags or option values; exits 2."""
-
-
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pretrained", required=True, help="pre-trained checkpoint path")
     parser.add_argument("finetuned", nargs="+", help="fine-tuned checkpoint paths")
@@ -104,58 +100,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lambda_range(value) -> SearchSpace:
+    return SearchSpace(tuple(value)) if isinstance(value, list) else SearchSpace.parse(str(value))
+
+
+# Every option a config file may set: flag dest -> (config key, conversion,
+# default). The conversion applies to the flag or config value, not the default.
+_OPTIONS = {
+    "method": ("method", str, None),
+    "lam": ("lambda", float, 1.0),
+    "drop_rate": ("drop_rate", float, None),
+    "keep_fraction": ("keep_fraction", float, None),
+    "beta": ("beta", float, None),
+    "gamma": ("gamma", float, None),
+    "seed": ("seed", int, 0),
+    "lambda_range": ("lambda_range", _lambda_range, None),
+    "pooling": ("pooling", str, "avg"),
+    "include_deltas": ("include_deltas", bool, True),
+    "threads": ("threads", int, 1),
+}
+_METHOD_PARAMS = ("drop_rate", "keep_fraction", "beta", "gamma")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
-        raise UsageError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     return config
 
 
-def _pick(args: argparse.Namespace, config: dict, flag: str, key: str, default=None):
-    value = getattr(args, flag)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _merge_spec(args: argparse.Namespace, config: dict) -> MergeSpec:
-    method = _pick(args, config, "method", "method")
-    if method is None:
-        raise UsageError("--method is required (flag or config)")
-    params = {}
-    for flag, key in (("drop_rate", "drop_rate"), ("keep_fraction", "keep_fraction"),
-                      ("beta", "beta"), ("gamma", "gamma")):
-        value = _pick(args, config, flag, key)
+def _resolve_options(args: argparse.Namespace, config: dict) -> None:
+    """Set each option of the command on ``args``: flag, else config, else default."""
+    for dest, (key, convert, default) in _OPTIONS.items():
+        if not hasattr(args, dest):
+            continue
+        value = getattr(args, dest)
         if value is not None:
-            params[key] = float(value)
-    try:
-        return MergeSpec(
-            method=method,
-            lam=float(_pick(args, config, "lam", "lambda", 1.0)),
-            params=params,
-            seed=int(_pick(args, config, "seed", "seed", 0)),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+            value = convert(value)
+        elif key in config:
+            try:
+                value = convert(config[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        else:
+            value = default
+        setattr(args, dest, value)
 
 
-def _search_space(args: argparse.Namespace, config: dict, method: str) -> SearchSpace:
-    text = _pick(args, config, "lambda_range", "lambda_range")
-    if text is None:
-        return default_search_space(method)
-    try:
-        if isinstance(text, list):
-            return SearchSpace(tuple(text), origin="user")
-        return SearchSpace.parse(str(text))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _merge_spec(args: argparse.Namespace) -> MergeSpec:
+    if args.method is None:
+        raise ValueError("--method is required (flag or config)")
+    params = {key: getattr(args, key) for key in _METHOD_PARAMS if getattr(args, key) is not None}
+    spec = MergeSpec(method=args.method, lam=args.lam, params=params, seed=args.seed)
+    registry_lookup(spec.method)  # an unknown method exits 2 before any input is read
+    return spec
 
 
 def _read_inputs(args: argparse.Namespace) -> tuple[TensorMap, list[TensorMap], list[str]]:
@@ -186,37 +189,24 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec = _merge_spec(args, config)
-    merge_fn = registry_lookup(spec.method)
+    spec = _merge_spec(args)
     pretrained, finetuned, labels = _read_inputs(args)
     deltas = compute_deltas(pretrained, finetuned, labels=labels)
-    merged = merge_fn(deltas, spec)
+    merged = registry_lookup(spec.method)(deltas, spec)
     write_checkpoint(add(pretrained, merged), args.out)
     log.info("wrote %s", args.out)
     return 0
 
 
 def _cmd_weave(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec = _merge_spec(args, config)
-    registry_lookup(spec.method)
-    space = _search_space(args, config, spec.method)
-    try:
-        pool_spec = PoolSpec(
-            pooling=_pick(args, config, "pooling", "pooling", "avg"),
-            seed=spec.seed,
-            include_deltas=bool(_pick(args, config, "include_deltas", "include_deltas", True)),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    threads = int(_pick(args, config, "threads", "threads", 1))
-    if threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {threads}")
+    spec = _merge_spec(args)
+    pool_spec = PoolSpec(pooling=args.pooling, seed=spec.seed, include_deltas=args.include_deltas)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
     pretrained, finetuned, labels = _read_inputs(args)
     final, report = weave(
-        pretrained, finetuned, spec, space=space, pool_spec=pool_spec, labels=labels, threads=threads
+        pretrained, finetuned, spec, space=args.lambda_range, pool_spec=pool_spec, labels=labels, threads=args.threads
     )
     out = Path(args.out)
     write_checkpoint(final, out)
@@ -247,10 +237,8 @@ def _cmd_analyze_best_lambda(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec = _merge_spec(args, config)
-    registry_lookup(spec.method)
-    space = _search_space(args, config, spec.method)
+    spec = _merge_spec(args)
+    space = args.lambda_range or default_search_space(spec.method)
     pretrained, finetuned, labels = _read_inputs(args)
     paths = sweep_emit(pretrained, finetuned, spec, space, args.out_dir, labels=labels)
     for path in paths:
@@ -301,16 +289,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     command = _COMMANDS[(args.command, getattr(args, "analysis", None))]
     try:
+        _resolve_options(args, _load_config(getattr(args, "config", None)))
         return command(args)
-    except UsageError as exc:
+    except (ValueError, CheckpointError, FingerprintMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CheckpointError, FingerprintMismatch, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def entrypoint() -> None:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rng import stream_key, uniform01
-from .store import TensorMap, require_compatible
+from .store import Tensor, TensorMap, require_compatible
 from .vectors import TaskVector
 
 __all__ = [
@@ -116,12 +116,14 @@ def _tensor_members(
 
     With a base kernel, the base is computed once and rescaled per factor.
     Without one, ``merge_fn`` runs on the one-tensor slice of the task
-    vectors at every factor.
+    vectors at every factor. A member that overflows float32 holds Inf,
+    which ``_member`` reports.
     """
     if kernel is not None:
         flats = [tv.delta.array(name).ravel() for tv in deltas]
         base = kernel(name, flats, [tv.index for tv in deltas], spec)
-        return [(lam * base).astype(np.float32) for lam in lambdas]
+        with np.errstate(over="ignore"):
+            return [(lam * base).astype(np.float32) for lam in lambdas]
     slices = [
         TaskVector(TensorMap({name: tv.delta[name]}), source_name=tv.source_name, index=tv.index)
         for tv in deltas
@@ -129,14 +131,21 @@ def _tensor_members(
     return [merge_fn(slices, spec.with_lambda(lam)).array(name).ravel() for lam in lambdas]
 
 
-def _per_tensor_scaled(deltas: Sequence[TaskVector], spec: MergeSpec, kernel: _BaseKernel) -> TensorMap:
+def _member(name: str, lam: float, values: np.ndarray) -> Tensor:
+    """Tensor ``name`` merged at ``lam``; from finite task vectors, only an overflow is non-finite."""
+    return Tensor(values, error=f"tensor {name!r}: merged delta at lambda {lam} overflows float32")
+
+
+def _member_maps(deltas: Sequence[TaskVector], merge_fn: MergeFn | None, kernel: _BaseKernel | None,
+                 spec: MergeSpec, lambdas: Sequence[float]) -> list[TensorMap]:
+    """The merged delta map at each factor in ``lambdas``, in order; see ``_tensor_members``."""
     _check_deltas(deltas)
-    return TensorMap(
-        {
-            name: _tensor_members(name, deltas, None, kernel, spec, (spec.lam,))[0].reshape(tensor.shape)
-            for name, tensor in deltas[0].delta.items()
-        }
-    )
+    shapes = {name: tensor.shape for name, tensor in deltas[0].delta.items()}
+    per_tensor = {name: _tensor_members(name, deltas, merge_fn, kernel, spec, lambdas) for name in shapes}
+    return [
+        TensorMap({name: _member(name, lam, per_tensor[name][pos].reshape(shape)) for name, shape in shapes.items()})
+        for pos, lam in enumerate(lambdas)
+    ]
 
 
 def _ta_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
@@ -163,7 +172,7 @@ def _check_dare(spec: MergeSpec) -> None:
 
 def task_arithmetic(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     """lam * sum of the task vectors."""
-    return _per_tensor_scaled(deltas, spec, _ta_base)
+    return _member_maps(deltas, None, _ta_base, spec, (spec.lam,))[0]
 
 
 def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
@@ -173,7 +182,7 @@ def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     (seed, task index, tensor name, element index), so masks do not
     depend on execution order.
     """
-    return _per_tensor_scaled(deltas, spec, _dare_base)
+    return _member_maps(deltas, None, _dare_base, spec, (spec.lam,))[0]
 
 
 def _trim_count(fraction: float, size: int) -> int:
@@ -245,7 +254,7 @@ def ties(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     element is the sign of the sum of trimmed values. The output is the
     mean of trimmed values matching the elected sign, scaled by lam.
     """
-    return _per_tensor_scaled(deltas, spec, _ties_base)
+    return _member_maps(deltas, None, _ties_base, spec, (spec.lam,))[0]
 
 
 def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
@@ -278,7 +287,7 @@ def breadcrumbs(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     drop the lower flat index first on the small side and the higher flat
     index first on the large side.
     """
-    return _per_tensor_scaled(deltas, spec, _breadcrumbs_base)
+    return _member_maps(deltas, None, _breadcrumbs_base, spec, (spec.lam,))[0]
 
 
 def _magmax_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
@@ -292,7 +301,7 @@ def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
 
     Magnitude ties select the smallest task index.
     """
-    return _per_tensor_scaled(deltas, spec, _magmax_base)
+    return _member_maps(deltas, None, _magmax_base, spec, (spec.lam,))[0]
 
 
 @dataclass(frozen=True)

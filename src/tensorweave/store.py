@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -38,6 +38,7 @@ __all__ = [
 _SUPPORTED_DTYPES = {"F32": 4, "F16": 2}
 _NP_DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
 _METADATA_KEY = "__metadata__"
+_NON_FINITE = "non-finite value (NaN or Inf)"
 
 
 class CheckpointError(Exception):
@@ -48,30 +49,31 @@ class FingerprintMismatch(Exception):
     """Two tensor maps do not share names and shapes."""
 
 
-def _as_float32(values, name: str = "tensor") -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "fiu":
-        raise TypeError(f"{name}: expected numeric values, got dtype {arr.dtype}")
-    if arr.dtype != np.float32 or not arr.flags.c_contiguous:
-        # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-        arr = np.asarray(arr, dtype=np.float32, order="C")
-    if not np.isfinite(arr).all():
-        raise CheckpointError(f"{name}: non-finite value (NaN or Inf)")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Tensor:
-    """A named checkpoint entry: float32 values plus the container dtype."""
+    """A named checkpoint entry: float32 values plus the container dtype.
+
+    The one place values become read-only, C-ordered, finite float32;
+    ``error`` is the message a NaN or Inf raises, naming tensor and cause.
+    """
 
     values: np.ndarray
     stored_dtype: str = "F32"
+    error: InitVar[str] = _NON_FINITE
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, error: str) -> None:
         if self.stored_dtype not in _SUPPORTED_DTYPES:
             raise CheckpointError(f"unsupported dtype {self.stored_dtype!r}")
-        object.__setattr__(self, "values", _as_float32(self.values))
+        arr = np.asarray(self.values)
+        if arr.dtype.kind not in "fiu":
+            raise TypeError(f"expected numeric values, got dtype {arr.dtype}")
+        if arr.dtype != np.float32 or not arr.flags.c_contiguous:
+            # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
+            arr = np.asarray(arr, dtype=np.float32, order="C")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(error)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -101,7 +103,7 @@ class TensorMap:
             if name == _METADATA_KEY:
                 raise CheckpointError(f"{_METADATA_KEY!r} is reserved and cannot name a tensor")
             value = tensors[name]
-            entries[name] = value if isinstance(value, Tensor) else Tensor(_as_float32(value, name))
+            entries[name] = value if isinstance(value, Tensor) else Tensor(value, error=f"{name}: {_NON_FINITE}")
         self._entries = entries
         self.metadata = dict(metadata) if metadata else {}
 
@@ -206,12 +208,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
         if end > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r}: data_offsets out of bounds")
         spans.append((begin, end, name))
-        values = np.frombuffer(payload[begin:end], dtype=_NP_DTYPES[dtype])
-        if dtype == "F16":
-            values = values.astype(np.float32)
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"{path}: tensor {name!r}: non-finite value (NaN or Inf)")
-        tensors[name] = Tensor(values.reshape(shape), stored_dtype=dtype)
+        values = np.frombuffer(payload[begin:end], dtype=_NP_DTYPES[dtype]).reshape(shape)
+        tensors[name] = Tensor(values, dtype, f"{path}: tensor {name!r}: {_NON_FINITE}")
 
     spans.sort()
     for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):

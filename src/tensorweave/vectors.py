@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .store import CheckpointError, Tensor, TensorMap, _as_float32, require_compatible
+from .store import Tensor, TensorMap, require_compatible
 
 __all__ = [
     "TaskVector",
@@ -48,30 +48,32 @@ def compute_deltas(
     for pos, candidate in enumerate(finetuned):
         require_compatible(pretrained, candidate, label=f"fine-tuned checkpoint {pos + 1}")
         label = labels[pos] if labels is not None else f"task{pos + 1}"
-        tensors = {}
-        for name, t in pretrained.items():
-            with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
-                diff = candidate.array(name) - t.values
-            try:
-                tensors[name] = Tensor(diff)
-            except CheckpointError:
-                raise CheckpointError(
-                    f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows float32"
-                ) from None
+        with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
+            tensors = {
+                name: Tensor(
+                    candidate.array(name) - t.values,
+                    error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows float32",
+                )
+                for name, t in pretrained.items()
+            }
         out.append(TaskVector(TensorMap(tensors), source_name=label, index=pos + 1))
     return out
 
 
 def add(base: TensorMap, delta: TensorMap) -> TensorMap:
-    """Elementwise base + delta; stored dtypes follow the base map."""
+    """Elementwise base + delta; stored dtypes follow the base map.
+
+    A sum that overflows float32 raises CheckpointError naming the tensor.
+    """
     require_compatible(base, delta, label="delta")
-    return TensorMap(
-        {
-            name: Tensor(_as_float32(t.values + delta.array(name), name), stored_dtype=t.stored_dtype)
+    with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
+        tensors = {
+            name: Tensor(
+                t.values + delta.array(name), t.stored_dtype, f"tensor {name!r}: base plus delta overflows float32"
+            )
             for name, t in base.items()
-        },
-        metadata=base.metadata,
-    )
+        }
+    return TensorMap(tensors, metadata=base.metadata)
 
 
 @dataclass(frozen=True)

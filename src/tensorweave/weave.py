@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .methods import MergeSpec, default_lambda_range, registry_lookup, sweep_base_kernel
-from .methods import _accumulate, _check_deltas, _tensor_members
+from .methods import _accumulate, _member, _member_maps, _tensor_members
 from .rng import stream_key, uniform01
-from .store import Tensor, TensorMap, _as_float32, require_compatible
+from .store import CheckpointError, Tensor, TensorMap, require_compatible
 from .vectors import TaskVector, compute_deltas
 
 __all__ = [
@@ -49,7 +49,6 @@ class SearchSpace:
     """Ordered scaling factors to sweep; strictly increasing, all positive."""
 
     lambdas: tuple[float, ...]
-    origin: str = "user"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
@@ -60,8 +59,6 @@ class SearchSpace:
                 raise ValueError(f"scaling factors must be positive and finite, got {value}")
         if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError("scaling factors must be strictly increasing")
-        if self.origin not in ("default", "method_default", "user"):
-            raise ValueError(f"unknown origin {self.origin!r}")
 
     @classmethod
     def parse(cls, text: str) -> "SearchSpace":
@@ -74,7 +71,7 @@ class SearchSpace:
                 raise ValueError(f"invalid scaling-factor list: {exc}") from exc
             if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
                 raise ValueError("scaling-factor list must contain only numbers")
-            return cls(tuple(values), origin="user")
+            return cls(tuple(values))
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected 'start:stop:step' or a JSON list, got {text!r}")
@@ -84,7 +81,7 @@ class SearchSpace:
             raise ValueError(f"invalid scaling-factor range {text!r}: {exc}") from exc
         if step <= 0 or stop < start:
             raise ValueError(f"range {text!r} must have step > 0 and stop >= start")
-        return cls(_spaced(start, stop, step), origin="user")
+        return cls(_spaced(start, stop, step))
 
 
 def _spaced(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -99,8 +96,7 @@ def default_search_space(method: str) -> SearchSpace:
     """
     registered = default_lambda_range(method)
     start, stop = registered if registered is not None else _FALLBACK_RANGE
-    origin = "method_default" if registered is not None else "default"
-    return SearchSpace(_spaced(start, stop, _DEFAULT_STEP), origin=origin)
+    return SearchSpace(_spaced(start, stop, _DEFAULT_STEP))
 
 
 @dataclass(frozen=True)
@@ -161,19 +157,7 @@ def build_augmented(
     Built-in merges evaluate their factor-free part once per tensor and
     rescale; the result is identical to merging from scratch per factor.
     """
-    if not deltas:
-        raise ValueError("build_augmented needs at least one task vector")
-    _check_deltas(deltas)
-    kernel = sweep_base_kernel(merge_fn)
-    shapes = {name: tensor.shape for name, tensor in deltas[0].delta.items()}
-    per_tensor = {
-        name: _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
-        for name in shapes
-    }
-    return [
-        TensorMap({name: flats[pos].reshape(shapes[name]) for name, flats in per_tensor.items()})
-        for pos in range(len(space.lambdas))
-    ]
+    return _member_maps(deltas, merge_fn, sweep_base_kernel(merge_fn), spec_template, space.lambdas)
 
 
 def _pool_flat(name: str, flats: list[np.ndarray], pooling: str, seed: int) -> np.ndarray:
@@ -232,12 +216,20 @@ def weave(
     kernel = sweep_base_kernel(merge_fn)
 
     def weave_one(name: str) -> tuple[str, Tensor]:
+        members = _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
         flats = [tv.delta.array(name).ravel() for tv in deltas] if pool_spec.include_deltas else []
-        flats += _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
-        pooled = _pool_flat(name, flats, pool_spec.pooling, pool_spec.seed)
+        pooled = _pool_flat(name, flats + members, pool_spec.pooling, pool_spec.seed)
         pre = pretrained[name]
-        rebased = _as_float32(pre.values + pooled.reshape(pre.shape), name)
-        return name, Tensor(rebased, stored_dtype=pre.stored_dtype)
+        with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports
+            rebased = pre.values + pooled.reshape(pre.shape)
+        error = f"tensor {name!r}: pre-trained plus pooled delta overflows float32"
+        try:
+            return name, Tensor(rebased, pre.stored_dtype, error)
+        except CheckpointError:
+            # |f32(lam * base)| grows with lam, so the first member to fail has the smallest such lam
+            for lam, member in zip(space.lambdas, members):
+                _member(name, lam, member)
+            raise
 
     names = pretrained.names
     if threads > 1 and len(names) > 1:

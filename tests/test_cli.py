@@ -92,21 +92,29 @@ def test_merge_missing_method_param_exits_2(tmp_path, capsys):
 
 
 def test_float32_overflow_exits_1_naming_tensor(tmp_path, capsys):
-    # deltas of 1.3e38 are finite, but their sum and the re-based weights overflow float32
+    # deltas of 1.3e38 are finite, but their sum overflows float32 from lambda 0.9 (0.9 * 3.9e38)
+    # and the re-based weights overflow at lambda 1.5 with one task
     pre = tmp_path / "pre.safetensors"
     write_checkpoint(TensorMap({"block.weight": np.full(4, 2e38, dtype=np.float32)}), pre)
     tasks = [tmp_path / f"task{i}.safetensors" for i in range(3)]
     for path in tasks:
         write_checkpoint(TensorMap({"block.weight": np.full(4, 3.3e38, dtype=np.float32)}), path)
     out = tmp_path / "out.safetensors"
-    assert run("weave", "--method", "task_arithmetic", "--pretrained", pre, "--out", out, *tasks) == 1
-    assert "block.weight" in capsys.readouterr().err
-    code = run(
-        "merge", "--method", "task_arithmetic", "--lambda", "1.5",
-        "--pretrained", pre, "--out", out, tasks[0],
-    )
-    assert code == 1
-    assert "block.weight" in capsys.readouterr().err
+    commands = [
+        ("weave", "--method", "task_arithmetic", "--pretrained", pre, "--out", out, *tasks),
+        ("analyze", "sweep", "--method", "task_arithmetic", "--pretrained", pre, "--out-dir", tmp_path / "s", *tasks),
+        ("merge", "--method", "task_arithmetic", "--lambda", "1.5", "--pretrained", pre, "--out", out, tasks[0]),
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*command) == 1
+        err = capsys.readouterr().err
+        assert "'block.weight'" in err and "overflows float32" in err
+        if command[0] != "merge":
+            assert "at lambda 0.9 overflows" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -230,6 +238,18 @@ def test_config_file_precedence(tmp_path):
     expected_flags = add(pre, fn(deltas, MergeSpec("ties", lam=1.2, params={"keep_fraction": 0.5})))
     assert read_checkpoint(out_config) == expected_config
     assert read_checkpoint(out_flags) == expected_flags
+
+
+def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
+    for key, value in (("lambda", None), ("drop_rate", {}), ("threads", None), ("seed", [1])):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({"method": "dare", "drop_rate": 0.5, key: value}))
+        out = tmp_path / "woven.safetensors"
+        assert run("weave", "--config", config, "--pretrained", PRE, "--out", out, CARS) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_weave_include_deltas_flag(tmp_path):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from tensorweave import (
     CheckpointError,
+    MergeSpec,
     Tensor,
     TensorMap,
+    add,
     read_checkpoint,
     store,
+    weave,
     write_checkpoint,
 )
 
@@ -209,6 +212,32 @@ def test_non_finite_payload_rejected(tmp_path):
         read_checkpoint(target)
     with pytest.raises(CheckpointError, match="non-finite"):
         TensorMap({"a": np.array([np.inf], dtype=np.float32)})
+
+
+def test_each_produced_tensor_is_checked_for_finiteness_once(tmp_path, monkeypatch):
+    shapes = {"a": (3, 2), "b": (5,), "c": (), "d": (2, 2)}
+    arrays = {name: np.ones(shape, dtype=np.float32) for name, shape in shapes.items()}
+    base = TensorMap(arrays)
+    path = tmp_path / "base.safetensors"
+    write_checkpoint(base, path)
+    calls = []
+    real_isfinite = np.isfinite
+
+    def counting_isfinite(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    spec = MergeSpec("task_arithmetic")
+    for build, maps in (
+        (lambda: read_checkpoint(path), 1),
+        (lambda: add(base, base), 1),
+        (lambda: TensorMap(arrays), 1),
+        (lambda: weave(base, [base, base], spec), 3),  # two task vectors and the woven map
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == maps * len(shapes)
 
 
 def test_offset_span_must_match_element_count(tmp_path):

@@ -36,7 +36,6 @@ def test_default_spaces_match_published_ranges():
         space = default_search_space(method)
         assert space.lambdas == standard
         assert len(space.lambdas) == 10
-        assert space.origin == "method_default"
     space = default_search_space("ties")
     assert space.lambdas == extended
     assert len(space.lambdas) == 15
@@ -46,7 +45,6 @@ def test_default_spaces_match_published_ranges():
 def test_unregistered_method_falls_back():
     space = default_search_space("some_future_method")
     assert space.lambdas == default_search_space("task_arithmetic").lambdas
-    assert space.origin == "default"
 
 
 def test_search_space_validation():
