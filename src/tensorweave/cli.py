@@ -104,6 +104,12 @@ def _lambda_range(value) -> SearchSpace:
     return SearchSpace(tuple(value)) if isinstance(value, list) else SearchSpace.parse(str(value))
 
 
+def _strict_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # Every option a config file may set: flag dest -> (config key, conversion,
 # default). The conversion applies to the flag or config value, not the default.
 _OPTIONS = {
@@ -116,7 +122,7 @@ _OPTIONS = {
     "seed": ("seed", int, 0),
     "lambda_range": ("lambda_range", _lambda_range, None),
     "pooling": ("pooling", str, "avg"),
-    "include_deltas": ("include_deltas", bool, True),
+    "include_deltas": ("include_deltas", _strict_bool, True),
     "threads": ("threads", int, 1),
 }
 _METHOD_PARAMS = ("drop_rate", "keep_fraction", "beta", "gamma")

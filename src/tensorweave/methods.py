@@ -36,7 +36,6 @@ __all__ = [
     "register_merge",
     "available_methods",
     "default_lambda_range",
-    "sweep_base_kernel",
 ]
 
 MergeFn = Callable[[Sequence[TaskVector], "MergeSpec"], TensorMap]
@@ -116,13 +115,14 @@ def _tensor_members(
 
     With a base kernel, the base is computed once and rescaled per factor.
     Without one, ``merge_fn`` runs on the one-tensor slice of the task
-    vectors at every factor. A member that overflows float32 holds Inf,
-    which ``_member`` reports.
+    vectors at every factor. A member that overflows float32, here or
+    inside the kernel (``dare``'s rescale), holds Inf or NaN, which
+    ``_member`` reports.
     """
     if kernel is not None:
         flats = [tv.delta.array(name).ravel() for tv in deltas]
-        base = kernel(name, flats, [tv.index for tv in deltas], spec)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = kernel(name, flats, [tv.index for tv in deltas], spec)
             return [(lam * base).astype(np.float32) for lam in lambdas]
     slices = [
         TaskVector(TensorMap({name: tv.delta[name]}), source_name=tv.source_name, index=tv.index)

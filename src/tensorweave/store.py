@@ -10,7 +10,9 @@ The on-disk container is the common single-file checkpoint layout:
                   relative to the payload start
 
 Only F32 and F16 payloads are supported. All values are held in memory as
-float32 regardless of the stored dtype; F16 widens exactly on load. Writing
+float32 regardless of the stored dtype; F16 widens exactly on load. Each
+tensor is read into its own buffer, so a loaded map holds its float32
+values and no other bytes of the file. Writing
 the same map twice yields byte-identical files (names are serialized in
 lexicographic order with contiguous offsets from zero).
 """
@@ -18,6 +20,7 @@ lexicographic order with contiguous offsets from zero).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import InitVar, dataclass
@@ -35,8 +38,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-_SUPPORTED_DTYPES = {"F32": 4, "F16": 2}
-_NP_DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
+_DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
 _METADATA_KEY = "__metadata__"
 _NON_FINITE = "non-finite value (NaN or Inf)"
 
@@ -62,7 +64,7 @@ class Tensor:
     error: InitVar[str] = _NON_FINITE
 
     def __post_init__(self, error: str) -> None:
-        if self.stored_dtype not in _SUPPORTED_DTYPES:
+        if self.stored_dtype not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {self.stored_dtype!r}")
         arr = np.asarray(self.values)
         if arr.dtype.kind not in "fiu":
@@ -173,48 +175,49 @@ def read_checkpoint(path: str | Path) -> TensorMap:
     Raises CheckpointError on malformed headers, overlapping or
     out-of-bounds offsets, unsupported dtypes, and non-finite values.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise CheckpointError(f"{path}: malformed header: file shorter than the 8-byte length prefix")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise CheckpointError(f"{path}: malformed header: declared length {header_len} exceeds file size")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed header JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: malformed header JSON: top level must be an object")
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < 8:
+            raise CheckpointError(f"{path}: malformed header: file shorter than the 8-byte length prefix")
+        (header_len,) = struct.unpack("<Q", handle.read(8))
+        if 8 + header_len > size:
+            raise CheckpointError(f"{path}: malformed header: declared length {header_len} exceeds file size")
+        try:
+            header = json.loads(handle.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: malformed header JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: malformed header JSON: top level must be an object")
 
-    metadata = header.pop(_METADATA_KEY, {})
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise CheckpointError(f"{path}: malformed header: {_METADATA_KEY} must map strings to strings")
+        metadata = header.pop(_METADATA_KEY, {})
+        if not isinstance(metadata, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+        ):
+            raise CheckpointError(f"{path}: malformed header: {_METADATA_KEY} must map strings to strings")
 
-    payload = memoryview(raw)[8 + header_len :]
-    tensors: dict[str, Tensor] = {}
-    spans: list[tuple[int, int, str]] = []
-    for name, entry in header.items():
-        dtype, shape, begin, end = _parse_entry(path, name, entry)
-        count = 1
-        for extent in shape:
-            count *= extent
-        if end - begin != count * _SUPPORTED_DTYPES[dtype]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r}: data_offsets span {end - begin} bytes, "
-                f"expected {count * _SUPPORTED_DTYPES[dtype]}"
-            )
-        if end > len(payload):
-            raise CheckpointError(f"{path}: tensor {name!r}: data_offsets out of bounds")
-        spans.append((begin, end, name))
-        values = np.frombuffer(payload[begin:end], dtype=_NP_DTYPES[dtype]).reshape(shape)
-        tensors[name] = Tensor(values, dtype, f"{path}: tensor {name!r}: {_NON_FINITE}")
+        spans: list[tuple[int, int, str, str, list[int]]] = []
+        for name, entry in header.items():
+            dtype, shape, begin, end = _parse_entry(path, name, entry)
+            expected = math.prod(shape) * _DTYPES[dtype].itemsize
+            if end - begin != expected:
+                raise CheckpointError(
+                    f"{path}: tensor {name!r}: data_offsets span {end - begin} bytes, expected {expected}"
+                )
+            if 8 + header_len + end > size:
+                raise CheckpointError(f"{path}: tensor {name!r}: data_offsets out of bounds")
+            spans.append((begin, end, name, dtype, shape))
 
-    spans.sort()
-    for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
-        if b1 < e0:
-            raise CheckpointError(f"{path}: tensors {n0!r} and {n1!r} have overlapping data_offsets")
+        spans.sort()
+        for (b0, e0, n0, *_), (b1, e1, n1, *_) in zip(spans, spans[1:]):
+            if b1 < e0:
+                raise CheckpointError(f"{path}: tensors {n0!r} and {n1!r} have overlapping data_offsets")
+
+        tensors: dict[str, Tensor] = {}
+        for begin, _, name, dtype, shape in spans:
+            values = np.empty(shape, dtype=_DTYPES[dtype])
+            handle.seek(8 + header_len + begin)
+            handle.readinto(values)
+            tensors[name] = Tensor(values, dtype, f"{path}: tensor {name!r}: {_NON_FINITE}")
 
     return TensorMap(tensors, metadata=metadata)
 
@@ -223,7 +226,7 @@ def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:
     if not isinstance(entry, dict):
         raise CheckpointError(f"{path}: tensor {name!r}: header entry must be an object")
     dtype = entry.get("dtype")
-    if dtype not in _SUPPORTED_DTYPES:
+    if dtype not in _DTYPES:
         raise CheckpointError(f"{path}: tensor {name!r}: unsupported dtype {dtype!r}")
     shape = entry.get("shape")
     if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
@@ -257,27 +260,25 @@ def write_checkpoint(
 
     metadata = dict(tensor_map.metadata)
     header: dict[str, object] = {}
-    blobs: list[bytes] = []
+    payloads: list[np.ndarray] = []
     cursor = 0
     for name, tensor in tensor_map.items():
         out_dtype = tensor.stored_dtype if dtype_policy == "keep" else "F32"
         if dtype_policy == "force_f32" and tensor.stored_dtype != "F32":
             metadata[f"dtype.{name}"] = tensor.stored_dtype
-        if out_dtype == "F32":
-            blob = tensor.values.tobytes()
-        else:
+        payload = tensor.values
+        if out_dtype == "F16":
             with np.errstate(over="ignore"):  # overflow checked explicitly below
-                narrowed = tensor.values.astype(np.float16)
-            if not np.isfinite(narrowed).all():
+                payload = payload.astype(np.float16)
+            if not np.isfinite(payload).all():
                 raise CheckpointError(f"tensor {name!r}: value overflows F16 under dtype_policy 'keep'")
-            blob = narrowed.tobytes()
         header[name] = {
             "dtype": out_dtype,
             "shape": list(tensor.shape),
-            "data_offsets": [cursor, cursor + len(blob)],
+            "data_offsets": [cursor, cursor + payload.nbytes],
         }
-        blobs.append(blob)
-        cursor += len(blob)
+        payloads.append(payload)
+        cursor += payload.nbytes
     if metadata:
         header[_METADATA_KEY] = metadata
 
@@ -288,8 +289,8 @@ def write_checkpoint(
         with open(partial, "xb") as handle:
             handle.write(struct.pack("<Q", len(encoded)))
             handle.write(encoded)
-            for blob in blobs:
-                handle.write(blob)
+            for payload in payloads:
+                handle.write(payload)
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)

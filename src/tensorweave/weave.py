@@ -6,10 +6,12 @@ weights per parameter (optionally together with the raw task vectors),
 and adds the pooled delta back onto the pre-trained weights. Pooling
 streams tensor by tensor: the member slices for one tensor are
 materialized, pooled, and released before the next. The inputs, every
-task vector and the output are held whole, so peak memory is 2 x tasks + 2
-whole models plus, per worker thread, a small multiple of (members +
-tasks) x the tensor in flight: its members, the kernel's float64
-intermediates and the pooling's working copy.
+task vector and the output are held whole as float32 models (an input
+read from disk holds its float32 values and no other file bytes,
+whatever its stored dtype), so peak memory is 2 x tasks + 2 whole float32
+models plus, per worker thread, a small multiple of (members + tasks) x
+the tensor in flight: its members, the kernel's float64 intermediates and
+the pooling's working copy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -131,16 +133,7 @@ class WeaveReport:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "lambdas": list(self.lambdas),
-            "pooling": self.pooling,
-            "include_deltas": self.include_deltas,
-            "n_tasks": self.n_tasks,
-            "n_members": self.n_members,
-            "element_counts": dict(self.element_counts),
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "lambdas": list(self.lambdas)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -204,7 +197,8 @@ def weave(
     Computes task vectors, runs the merge at every scaling factor in
     ``space`` (the method default if omitted), pools per parameter
     according to ``pool_spec``, and returns pretrained + pooled delta
-    along with a run report.
+    along with a run report. ``threads`` workers (at least 1) weave
+    tensors in parallel; the output does not depend on their number.
     """
     started = time.perf_counter()
     if not finetuned:
@@ -232,11 +226,11 @@ def weave(
             raise
 
     names = pretrained.names
-    if threads > 1 and len(names) > 1:
+    if threads == 1:  # a worker thread's glibc malloc arena gives freed pages back, so they fault again
+        results = dict(map(weave_one, names))
+    else:  # the executor rejects threads < 1
         with ThreadPoolExecutor(max_workers=threads) as executor:
             results = dict(executor.map(weave_one, names))
-    else:
-        results = dict(weave_one(name) for name in names)
 
     final = TensorMap(results, metadata=pretrained.metadata)
     n_members = len(space.lambdas) + (len(deltas) if pool_spec.include_deltas else 0)

@@ -118,6 +118,33 @@ def test_float32_overflow_exits_1_naming_tensor(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dare_rescale_overflow_exits_1_without_warning(tmp_path, capsys):
+    # deltas of 1.3e38 and -3.4e38 are finite, but dare's 1 / (1 - 0.9) rescale overflows
+    # float32; seed 2 keeps two elements in both tasks, where the opposite infinities sum to NaN
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(64, 2e38, dtype=np.float32)}), pre)
+    up, down = tmp_path / "up.safetensors", tmp_path / "down.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(64, 3.3e38, dtype=np.float32)}), up)
+    write_checkpoint(TensorMap({"block.weight": np.full(64, -1.4e38, dtype=np.float32)}), down)
+    out = tmp_path / "out.safetensors"
+    dare = ("--method", "dare", "--drop-rate", "0.9", "--seed", "2", "--pretrained", pre)
+    commands = [
+        ("weave", *dare, "--out", out, up),
+        ("weave", *dare, "--out", out, up, down),
+        ("analyze", "sweep", *dare, "--out-dir", tmp_path / "s", up, down),
+        ("merge", *dare, "--out", out, up, down),
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*command) == 1
+        err = capsys.readouterr().err
+        assert "'block.weight'" in err and "overflows float32" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_overflowing_task_vector_names_checkpoint_and_tensor(tmp_path, capsys):
     pre = tmp_path / "pre.safetensors"
     write_checkpoint(TensorMap({"block.weight": np.full(4, -3e38, dtype=np.float32)}), pre)
@@ -219,6 +246,17 @@ def test_weave_threads_do_not_change_output(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_weave_threads_below_one_exits_2_before_reading(tmp_path, capsys):
+    out = tmp_path / "t0.safetensors"
+    code = run(
+        "weave", "--method", "task_arithmetic", "--threads", "0",
+        "--pretrained", tmp_path / "missing.safetensors", "--out", out, CARS,
+    )
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_precedence(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"method": "ties", "keep_fraction": 0.5, "lambda": 0.7}))
@@ -241,7 +279,10 @@ def test_config_file_precedence(tmp_path):
 
 
 def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
-    for key, value in (("lambda", None), ("drop_rate", {}), ("threads", None), ("seed", [1])):
+    for key, value in (
+        ("lambda", None), ("drop_rate", {}), ("threads", None), ("seed", [1]),
+        ("include_deltas", "false"), ("include_deltas", 0),
+    ):
         config = tmp_path / f"{key}.json"
         config.write_text(json.dumps({"method": "dare", "drop_rate": 0.5, key: value}))
         out = tmp_path / "woven.safetensors"
@@ -262,6 +303,17 @@ def test_weave_include_deltas_flag(tmp_path):
     report = json.loads(out.with_suffix(".report.json").read_text())
     assert report["include_deltas"] is False
     assert report["n_members"] == 2
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"include_deltas": False}))
+    from_config = tmp_path / "no_deltas_config.safetensors"
+    code = run(
+        "weave", "--config", config, "--method", "task_arithmetic",
+        "--lambda-range", "[0.5, 1.0]", "--pretrained", PRE, "--out", from_config, CARS, MNIST,
+    )
+    assert code == 0
+    assert json.loads(from_config.with_suffix(".report.json").read_text())["include_deltas"] is False
+    assert from_config.read_bytes() == out.read_bytes()
 
 
 def test_deltas_duplicate_stems_get_unique_names(tmp_path):

@@ -1,6 +1,7 @@
 import builtins
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,22 @@ def test_each_produced_tensor_is_checked_for_finiteness_once(tmp_path, monkeypat
         calls.clear()
         build()
         assert len(calls) == maps * len(shapes)
+
+
+def test_read_holds_only_the_float32_values(tmp_path):
+    # a small F32 tensor must not keep the file's bytes (here mostly F16 payload) alive
+    path = tmp_path / "mixed.safetensors"
+    weight = Tensor(np.linspace(-1.0, 1.0, 1 << 20, dtype=np.float32), stored_dtype="F16")
+    write_checkpoint(TensorMap({"bias": np.arange(8, dtype=np.float32), "weight": weight}), path, dtype_policy="keep")
+    tracemalloc.start()
+    try:
+        loaded = read_checkpoint(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = sum(tensor.values.nbytes for _, tensor in loaded.items())
+    assert values == 4 * ((1 << 20) + 8)
+    assert held <= values + (64 << 10)
 
 
 def test_offset_span_must_match_element_count(tmp_path):

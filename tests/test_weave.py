@@ -373,6 +373,13 @@ def test_weave_thread_count_invariance(rng):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_weave_rejects_fewer_than_one_thread(rng):
+    pre, finetuned = random_instance(rng, 2)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            weave(pre, finetuned, MergeSpec("task_arithmetic"), threads=threads)
+
+
 def test_weave_magmax_collapse_returns_top_lambda_member():
     # all-positive deltas with lambda_max * sum strictly dominating every member
     rng = np.random.default_rng(3)
