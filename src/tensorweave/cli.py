@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .analysis import AccuracyTable, best_lambda_histogram, sweep_emit
-from .methods import MergeSpec, available_methods, registry_lookup
+from .methods import _REGISTRY, MergeSpec, available_methods, registry_lookup
 from .store import (
     CheckpointError,
     FingerprintMismatch,
@@ -27,6 +27,8 @@ from .vectors import TaskVector, add, compute_deltas, cosine_matrix
 from .weave import PoolSpec, SearchSpace, default_search_space, weave
 
 log = logging.getLogger("tensorweave")
+# Each built-in method parameter -> the help of its flag, in registry order.
+_METHOD_PARAMS = {p: f"{name}: {meaning}" for name, m in _REGISTRY.items() for p, meaning in (m.params or {}).items()}
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -37,10 +39,8 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", default=None, help=f"one of: {', '.join(available_methods())}")
     parser.add_argument("--lambda", dest="lam", type=float, default=None, help="scaling factor")
-    parser.add_argument("--drop-rate", type=float, default=None, help="dare: drop probability in [0,1)")
-    parser.add_argument("--keep-fraction", type=float, default=None, help="ties: kept fraction in (0,1]")
-    parser.add_argument("--beta", type=float, default=None, help="breadcrumbs: small-magnitude drop fraction")
-    parser.add_argument("--gamma", type=float, default=None, help="breadcrumbs: large-magnitude drop fraction")
+    for param, help_text in _METHOD_PARAMS.items():
+        parser.add_argument(f"--{param.replace('_', '-')}", type=float, default=None, help=help_text)
     parser.add_argument("--seed", type=int, default=None, help="seed for stochastic methods")
     parser.add_argument("--config", default=None, help="JSON config file; flags take precedence")
 
@@ -104,28 +104,28 @@ def _lambda_range(value) -> SearchSpace:
     return SearchSpace(tuple(value)) if isinstance(value, list) else SearchSpace.parse(str(value))
 
 
-def _strict_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+def _exact(kind: type):
+    """Conversion to ``kind`` that refuses another JSON kind; numeric strings still convert."""
+    def convert(value):
+        fraction = kind is int and isinstance(value, float) and not value.is_integer()
+        if fraction or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+    return convert
 
 
 # Every option a config file may set: flag dest -> (config key, conversion,
 # default). The conversion applies to the flag or config value, not the default.
 _OPTIONS = {
     "method": ("method", str, None),
-    "lam": ("lambda", float, 1.0),
-    "drop_rate": ("drop_rate", float, None),
-    "keep_fraction": ("keep_fraction", float, None),
-    "beta": ("beta", float, None),
-    "gamma": ("gamma", float, None),
-    "seed": ("seed", int, 0),
+    "lam": ("lambda", _exact(float), 1.0),
+    **{param: (param, _exact(float), None) for param in _METHOD_PARAMS},
+    "seed": ("seed", _exact(int), 0),
     "lambda_range": ("lambda_range", _lambda_range, None),
     "pooling": ("pooling", str, "avg"),
-    "include_deltas": ("include_deltas", _strict_bool, True),
-    "threads": ("threads", int, 1),
+    "include_deltas": ("include_deltas", _exact(bool), True),
+    "threads": ("threads", _exact(int), 1),
 }
-_METHOD_PARAMS = ("drop_rate", "keep_fraction", "beta", "gamma")
 
 
 def _load_config(path: str | None) -> dict:
@@ -185,7 +185,7 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
     used: set[str] = set()
     for vector in compute_deltas(pretrained, finetuned, labels=labels):
         stem = vector.source_name
-        if stem in used:
+        while stem in used:
             stem = f"{stem}_{vector.index}"
         used.add(stem)
         target = out_dir / f"{stem}.delta.safetensors"

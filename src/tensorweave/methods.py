@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rng import stream_key, uniform01
-from .store import Tensor, TensorMap, require_compatible
+from .store import CheckpointError, Tensor, TensorMap, require_compatible
 from .vectors import TaskVector
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "registry_lookup",
     "register_merge",
     "available_methods",
-    "default_lambda_range",
 ]
 
 MergeFn = Callable[[Sequence[TaskVector], "MergeSpec"], TensorMap]
@@ -61,7 +60,7 @@ class MergeSpec:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         method = _REGISTRY.get(self.method)
         if method is not None and method.params is not None:
-            unknown = sorted(set(self.params) - method.params)
+            unknown = sorted(self.params.keys() - method.params)
             if unknown:
                 raise ValueError(f"{self.method} does not accept parameter(s): {', '.join(unknown)}")
             method.check(self)
@@ -111,40 +110,44 @@ def _tensor_members(
     spec: MergeSpec,
     lambdas: Sequence[float],
 ) -> list[np.ndarray]:
-    """Tensor ``name`` merged at each factor in ``lambdas``, as flat float32.
+    """Tensor ``name`` merged at each factor in ``lambdas``, as float32 arrays of its shape.
 
     With a base kernel, the base is computed once and rescaled per factor.
     Without one, ``merge_fn`` runs on the one-tensor slice of the task
     vectors at every factor. A member that overflows float32, here or
     inside the kernel (``dare``'s rescale), holds Inf or NaN, which
-    ``_member`` reports.
+    ``_member`` reports. ``|f32(lam * base)|`` never shrinks as ``lam``
+    grows, so no member overflows unless the last one does.
     """
     if kernel is not None:
         flats = [tv.delta.array(name).ravel() for tv in deltas]
         with np.errstate(over="ignore", invalid="ignore"):
-            base = kernel(name, flats, [tv.index for tv in deltas], spec)
+            base = kernel(name, flats, [tv.index for tv in deltas], spec).reshape(deltas[0].delta[name].shape)
             return [(lam * base).astype(np.float32) for lam in lambdas]
     slices = [
         TaskVector(TensorMap({name: tv.delta[name]}), source_name=tv.source_name, index=tv.index)
         for tv in deltas
     ]
-    return [merge_fn(slices, spec.with_lambda(lam)).array(name).ravel() for lam in lambdas]
+    return [merge_fn(slices, spec.with_lambda(lam)).array(name) for lam in lambdas]
 
 
-def _member(name: str, lam: float, values: np.ndarray) -> Tensor:
-    """Tensor ``name`` merged at ``lam``; from finite task vectors, only an overflow is non-finite."""
-    return Tensor(values, error=f"tensor {name!r}: merged delta at lambda {lam} overflows float32")
+def _member(name: str, lambdas: Sequence[float], members: Sequence[np.ndarray]) -> Tensor:
+    """The last of tensor ``name``'s ``members``, checked; an overflow names the smallest lambda to overflow."""
+    try:
+        return Tensor(members[-1])
+    except CheckpointError:
+        lam = next(lam for lam, values in zip(lambdas, members) if not np.isfinite(values).all())
+        raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32") from None
 
 
 def _member_maps(deltas: Sequence[TaskVector], merge_fn: MergeFn | None, kernel: _BaseKernel | None,
                  spec: MergeSpec, lambdas: Sequence[float]) -> list[TensorMap]:
     """The merged delta map at each factor in ``lambdas``, in order; see ``_tensor_members``."""
     _check_deltas(deltas)
-    shapes = {name: tensor.shape for name, tensor in deltas[0].delta.items()}
-    per_tensor = {name: _tensor_members(name, deltas, merge_fn, kernel, spec, lambdas) for name in shapes}
+    per_tensor = {name: _tensor_members(name, deltas, merge_fn, kernel, spec, lambdas) for name in deltas[0].delta}
     return [
-        TensorMap({name: _member(name, lam, per_tensor[name][pos].reshape(shape)) for name, shape in shapes.items()})
-        for pos, lam in enumerate(lambdas)
+        TensorMap({name: _member(name, lambdas[:end], members[:end]) for name, members in per_tensor.items()})
+        for end in range(1, len(lambdas) + 1)
     ]
 
 
@@ -290,10 +293,16 @@ def breadcrumbs(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     return _member_maps(deltas, None, _breadcrumbs_base, spec, (spec.lam,))[0]
 
 
+def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
+    """Per element, the value of largest magnitude; ties keep the earliest array, signed zeros too."""
+    picked = flats[0]
+    for flat in flats[1:]:
+        picked = np.where(np.abs(flat) > np.abs(picked), flat, picked)
+    return picked
+
+
 def _magmax_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
-    stack = np.stack(flats)
-    winner = np.argmax(np.abs(stack), axis=0)
-    return stack[winner, np.arange(stack.shape[1])].astype(np.float64)
+    return _largest_magnitude(flats).astype(np.float64)
 
 
 def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
@@ -308,26 +317,27 @@ def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
 class _Method:
     """Everything known about one merge method name.
 
-    Built-ins carry their base kernel, the parameter names they accept
-    and a check of the values; registered extensions carry neither and
-    accept any parameters.
+    Built-ins carry their base kernel, their parameters (name -> meaning,
+    the help of the CLI flag) and a check of the values; registered
+    extensions carry neither and accept any parameters.
     """
 
     fn: MergeFn
     lambda_range: tuple[float, float] | None = None
     kernel: _BaseKernel | None = None
-    params: frozenset[str] | None = None
+    params: dict[str, str] | None = None
     check: Callable[[MergeSpec], None] = lambda spec: None
 
 
 _REGISTRY: dict[str, _Method] = {
-    "task_arithmetic": _Method(task_arithmetic, (0.1, 1.0), _ta_base, frozenset()),
-    "dare": _Method(dare, (0.1, 1.0), _dare_base, frozenset({"drop_rate"}), _check_dare),
-    "ties": _Method(ties, (0.1, 1.5), _ties_base, frozenset({"keep_fraction"}), _check_ties),
+    "task_arithmetic": _Method(task_arithmetic, (0.1, 1.0), _ta_base, {}),
+    "dare": _Method(dare, (0.1, 1.0), _dare_base, {"drop_rate": "drop probability in [0,1)"}, _check_dare),
+    "ties": _Method(ties, (0.1, 1.5), _ties_base, {"keep_fraction": "kept fraction in (0,1]"}, _check_ties),
     "breadcrumbs": _Method(
-        breadcrumbs, (0.1, 1.0), _breadcrumbs_base, frozenset({"beta", "gamma"}), _check_breadcrumbs
+        breadcrumbs, (0.1, 1.0), _breadcrumbs_base,
+        {"beta": "small-magnitude drop fraction", "gamma": "large-magnitude drop fraction"}, _check_breadcrumbs,
     ),
-    "magmax": _Method(magmax, (0.1, 1.0), _magmax_base, frozenset()),
+    "magmax": _Method(magmax, (0.1, 1.0), _magmax_base, {}),
 }
 
 
@@ -360,8 +370,3 @@ def registry_lookup(name: str) -> MergeFn:
 def available_methods() -> list[str]:
     return sorted(_REGISTRY)
 
-
-def default_lambda_range(name: str) -> tuple[float, float] | None:
-    """The registered default scaling-factor range, if any."""
-    method = _REGISTRY.get(name)
-    return method.lambda_range if method is not None else None

@@ -229,13 +229,13 @@ def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:
     if dtype not in _DTYPES:
         raise CheckpointError(f"{path}: tensor {name!r}: unsupported dtype {dtype!r}")
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise CheckpointError(f"{path}: tensor {name!r}: shape must be a list of non-negative integers")
     offsets = entry.get("data_offsets")
     if (
         not isinstance(offsets, list)
         or len(offsets) != 2
-        or not all(isinstance(o, int) and o >= 0 for o in offsets)
+        or not all(type(o) is int and o >= 0 for o in offsets)
         or offsets[0] > offsets[1]
     ):
         raise CheckpointError(f"{path}: tensor {name!r}: data_offsets must be [begin, end] with begin <= end")

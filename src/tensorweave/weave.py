@@ -11,7 +11,7 @@ read from disk holds its float32 values and no other file bytes,
 whatever its stored dtype), so peak memory is 2 x tasks + 2 whole float32
 models plus, per worker thread, a small multiple of (members + tasks) x
 the tensor in flight: its members, the kernel's float64 intermediates and
-the pooling's working copy.
+the pooling's work (only ``random`` stacks a copy of all members).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .methods import MergeSpec, default_lambda_range, registry_lookup, sweep_base_kernel
-from .methods import _accumulate, _member, _member_maps, _tensor_members
+from .methods import MergeSpec, registry_lookup, sweep_base_kernel
+from .methods import _REGISTRY, _accumulate, _largest_magnitude, _member, _member_maps, _tensor_members
 from .rng import stream_key, uniform01
-from .store import CheckpointError, Tensor, TensorMap, require_compatible
+from .store import Tensor, TensorMap, require_compatible
 from .vectors import TaskVector, compute_deltas
 
 __all__ = [
@@ -53,6 +53,8 @@ class SearchSpace:
     lambdas: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) for v in self.lambdas):
+            raise ValueError(f"scaling factors must be numbers, got {list(self.lambdas)}")
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if not self.lambdas:
             raise ValueError("search space must not be empty")
@@ -96,8 +98,7 @@ def default_search_space(method: str) -> SearchSpace:
 
     Methods without a registered range fall back to 0.1..1.0.
     """
-    registered = default_lambda_range(method)
-    start, stop = registered if registered is not None else _FALLBACK_RANGE
+    start, stop = getattr(_REGISTRY.get(method), "lambda_range", None) or _FALLBACK_RANGE
     return SearchSpace(_spaced(start, stop, _DEFAULT_STEP))
 
 
@@ -157,12 +158,11 @@ def _pool_flat(name: str, flats: list[np.ndarray], pooling: str, seed: int) -> n
     count = len(flats)
     if pooling == "avg":
         return (_accumulate(flats) / count).astype(np.float32)
+    if pooling == "magmax":  # ties resolve to the lowest member index
+        return _largest_magnitude(flats)
     stack = np.stack(flats)
-    if pooling == "random":
-        draws = uniform01(stream_key(seed, name, lane=0), stack.shape[1])
-        picked = np.minimum((draws * count).astype(np.int64), count - 1)
-    else:  # magmax: ties resolve to the lowest member index
-        picked = np.argmax(np.abs(stack), axis=0)
+    draws = uniform01(stream_key(seed, name, lane=0), stack.shape[1])
+    picked = np.minimum((draws * count).astype(np.int64), count - 1)
     return stack[picked, np.arange(stack.shape[1])]
 
 
@@ -211,19 +211,14 @@ def weave(
 
     def weave_one(name: str) -> tuple[str, Tensor]:
         members = _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
+        _member(name, space.lambdas, members)  # an overflowing member is an error, whatever the pooling
         flats = [tv.delta.array(name).ravel() for tv in deltas] if pool_spec.include_deltas else []
-        pooled = _pool_flat(name, flats + members, pool_spec.pooling, pool_spec.seed)
+        pooled = _pool_flat(name, flats + [m.ravel() for m in members], pool_spec.pooling, pool_spec.seed)
         pre = pretrained[name]
         with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports
             rebased = pre.values + pooled.reshape(pre.shape)
         error = f"tensor {name!r}: pre-trained plus pooled delta overflows float32"
-        try:
-            return name, Tensor(rebased, pre.stored_dtype, error)
-        except CheckpointError:
-            # |f32(lam * base)| grows with lam, so the first member to fail has the smallest such lam
-            for lam, member in zip(space.lambdas, members):
-                _member(name, lam, member)
-            raise
+        return name, Tensor(rebased, pre.stored_dtype, error)
 
     names = pretrained.names
     if threads == 1:  # a worker thread's glibc malloc arena gives freed pages back, so they fault again

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tensorweave import (
     MergeSpec,
@@ -23,6 +28,7 @@ from .conftest import FIXTURES, random_map
 PRE = FIXTURES / "pretrained.safetensors"
 CARS = FIXTURES / "task_cars.safetensors"
 MNIST = FIXTURES / "task_mnist.safetensors"
+HALF = FIXTURES / "task_half.safetensors"
 
 
 def run(*argv):
@@ -115,6 +121,51 @@ def test_float32_overflow_exits_1_naming_tensor(tmp_path, capsys):
             assert "at lambda 0.9 overflows" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_merged_delta_overflow_is_an_error_whatever_the_pooled_pick(tmp_path, capsys):
+    # task vectors of 2e38 sum to 4e38, so the merged delta overflows float32 from lambda 0.9;
+    # random pooling picks no overflowing member at seeds 0-2, which must not hide the overflow
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"w": np.zeros(4, dtype=np.float32)}), pre)
+    tasks = [tmp_path / f"task{i}.safetensors" for i in range(2)]
+    for path in tasks:
+        write_checkpoint(TensorMap({"w": np.full(4, 2e38, dtype=np.float32)}), path)
+    out = tmp_path / "out.safetensors"
+    for seed in range(4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                "weave", "--method", "task_arithmetic", "--pooling", "random", "--seed", seed,
+                "--pretrained", pre, "--out", out, *tasks,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'w': merged delta at lambda 0.9 overflows float32" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_rebase_overflow_exits_1_naming_tensor(tmp_path, capsys):
+    # every member is finite (the top one is 1.5 x 1e37), but the re-base 3.3e38 + 1.5e37 overflows
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(4, 3.3e38, dtype=np.float32)}), pre)
+    task = tmp_path / "task.safetensors"
+    write_checkpoint(TensorMap({"block.weight": np.full(4, 3.4e38, dtype=np.float32)}), task)
+    out = tmp_path / "out.safetensors"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(
+            "weave", "--method", "ties", "--keep-fraction", "1", "--pooling", "magmax",
+            "--pretrained", pre, "--out", out, task,
+        )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'block.weight': pre-trained plus pooled delta overflows float32" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -282,6 +333,7 @@ def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
     for key, value in (
         ("lambda", None), ("drop_rate", {}), ("threads", None), ("seed", [1]),
         ("include_deltas", "false"), ("include_deltas", 0),
+        ("lambda", True), ("drop_rate", False), ("threads", 1.9), ("seed", 2.5), ("lambda_range", [True, 2]),
     ):
         config = tmp_path / f"{key}.json"
         config.write_text(json.dumps({"method": "dare", "drop_rate": 0.5, key: value}))
@@ -291,6 +343,25 @@ def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
         assert f"config key {key!r}" in err
         assert "Traceback" not in err
         assert not out.exists()
+    out = tmp_path / "woven.safetensors"
+    code = run("weave", "--method", "dare", "--drop-rate", "0.5", "--lambda-range", "[true, 2]",
+               "--pretrained", PRE, "--out", out, CARS)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numeric_strings_convert(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "dare", "drop_rate": "0.5", "lambda": "0.7", "seed": "7", "threads": "2"}))
+    from_config = tmp_path / "from_config.safetensors"
+    assert run("weave", "--config", config, "--pretrained", PRE, "--out", from_config, CARS, MNIST) == 0
+    from_flags = tmp_path / "from_flags.safetensors"
+    assert run(
+        "weave", "--method", "dare", "--drop-rate", "0.5", "--lambda", "0.7", "--seed", "7", "--threads", "2",
+        "--pretrained", PRE, "--out", from_flags, CARS, MNIST,
+    ) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 def test_weave_include_deltas_flag(tmp_path):
@@ -324,6 +395,21 @@ def test_deltas_duplicate_stems_get_unique_names(tmp_path):
     out = tmp_path / "deltas"
     assert run("deltas", "--pretrained", PRE, "--out-dir", out, CARS, twin) == 0
     assert len(list(out.glob("*.safetensors"))) == 2
+
+
+def test_deltas_renamed_stem_never_overwrites_another_output(tmp_path):
+    # the third input's stem x is taken, and its first rename, x_3, is the first input's stem
+    inputs = [tmp_path / "x_3.safetensors", tmp_path / "a" / "x.safetensors", tmp_path / "b" / "x.safetensors"]
+    for path, source in zip(inputs, (CARS, MNIST, HALF)):
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(source.read_bytes())
+    out = tmp_path / "deltas"
+    assert run("deltas", "--pretrained", PRE, "--out-dir", out, *inputs) == 0
+    vectors = compute_deltas(read_checkpoint(PRE), [read_checkpoint(p) for p in inputs])
+    names = ("x_3", "x", "x_3_3")
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{n}.delta.safetensors" for n in names)
+    for name, vector in zip(names, vectors):
+        assert read_checkpoint(out / f"{name}.delta.safetensors") == vector.delta
 
 
 def test_data_commands_keep_stdout_clean(tmp_path, capsys):
@@ -447,3 +533,34 @@ def test_scripted_session_byte_stable(tmp_path):
     first = session(tmp_path / "run1")
     second = session(tmp_path / "run2")
     assert first == second
+
+
+HELP_GOLDEN = FIXTURES / "cli_help.txt"
+HELP_COMMANDS = (
+    "", "deltas", "merge", "weave", "analyze", "analyze cosine", "analyze best-lambda", "analyze sweep", "inspect",
+)
+
+
+def cli_help_text() -> str:
+    """``--help`` of every (sub)command, each run as its own process at 80 columns.
+
+    A fresh process keeps the output independent of merges registered by
+    other tests, and fixes the width argparse wraps to.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": path}
+    parts = []
+    for command in HELP_COMMANDS:
+        words = [*command.split(), "--help"]
+        argv = [sys.executable, "-m", "tensorweave.cli", *words]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+        parts.append(f"$ tensorweave {' '.join(words)}\n{result.stdout}")
+    return "".join(parts)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse lays out help differently from Python 3.13")
+def test_help_matches_golden():
+    # after an intended change, from the repository root:
+    # python -c "from tests.test_cli import *; HELP_GOLDEN.write_text(cli_help_text())"
+    assert cli_help_text() == HELP_GOLDEN.read_text(encoding="utf-8")

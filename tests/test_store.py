@@ -20,6 +20,8 @@ from tensorweave import (
     write_checkpoint,
 )
 
+from tensorweave.cli import main
+
 from .conftest import FIXTURES
 from .oracles import half_to_float
 
@@ -176,6 +178,41 @@ def test_header_length_beyond_file(tmp_path):
         read_checkpoint(target)
 
 
+def f32_entry(**fields):
+    return {"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8], **fields}}
+
+
+@pytest.mark.parametrize(
+    "header, tensor",
+    [
+        ([1, 2], None),
+        ({"__metadata__": {"k": 1}}, None),
+        ({"a": [0, 8]}, "a"),
+        (f32_entry(shape=[-1]), "a"),
+        (f32_entry(shape=[2.0]), "a"),
+        (f32_entry(shape=[True, 2]), "a"),
+        (f32_entry(data_offsets=[8, 0]), "a"),
+        (f32_entry(data_offsets=[0, 4, 8]), "a"),
+        (f32_entry(data_offsets=[False, 8]), "a"),
+    ],
+    ids=["top-level-list", "metadata-int", "entry-list", "shape-negative", "shape-float", "shape-bool",
+         "offsets-reversed", "offsets-three", "offsets-bool"],
+)
+def test_malformed_header_names_file_and_tensor(tmp_path, capsys, header, tensor):
+    target = tmp_path / "bad.safetensors"
+    blob = json.dumps(header).encode()
+    target.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 8)
+    with pytest.raises(CheckpointError) as caught:
+        read_checkpoint(target)
+    assert str(target) in str(caught.value)
+    if tensor is not None:
+        assert f"tensor {tensor!r}" in str(caught.value)
+    assert main(["inspect", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {caught.value}"]
+
+
 def test_overlapping_offsets(tmp_path):
     target = tmp_path / "overlap.safetensors"
     payload = struct.pack("<3f", 1.0, 2.0, 3.0)
@@ -234,7 +271,7 @@ def test_each_produced_tensor_is_checked_for_finiteness_once(tmp_path, monkeypat
         (lambda: read_checkpoint(path), 1),
         (lambda: add(base, base), 1),
         (lambda: TensorMap(arrays), 1),
-        (lambda: weave(base, [base, base], spec), 3),  # two task vectors and the woven map
+        (lambda: weave(base, [base, base], spec), 4),  # two task vectors, the top member and the woven map
     ):
         calls.clear()
         build()

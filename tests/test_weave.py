@@ -12,6 +12,7 @@ from tensorweave import (
     build_augmented,
     compute_deltas,
     default_search_space,
+    magmax,
     pool,
     registry_lookup,
     task_arithmetic,
@@ -123,10 +124,21 @@ def test_pool_avg_example():
 
 
 def test_pool_magmax_example_tie_break():
-    members = [tmap(w=r) for r in ([1.0, -2.0], [3.0, 0.0], [2.0, -1.0], [4.0, -2.0])]
-    out = pool(members, PoolSpec(pooling="magmax"))
-    # param 1 ties at |-2| between members 0 and 3; earliest member wins
-    assert out.array("w").tolist() == [4.0, -2.0]
+    rows = [
+        [1.0, -2.0, -3.0, 1.0, -0.0, 0.0],
+        [3.0, 0.0, 3.0, 3.0, 0.0, -0.0],
+        [2.0, -1.0, 1.0, -3.0, -0.0, 0.0],
+        [4.0, -2.0, -3.0, 2.0, 0.0, -0.0],
+    ]
+    out = pool([tmap(w=r) for r in rows], PoolSpec(pooling="magmax"))
+    # param 1 ties at |-2| between members 0 and 3, params 2 and 3 tie at |3| across signs,
+    # and params 4 and 5 tie between signed zeros; the earliest member wins every tie
+    expected = np.array([4.0, -2.0, -3.0, 3.0, -0.0, 0.0], dtype=np.float32)
+    assert out.array("w").tobytes() == expected.tobytes()
+    assert out.array("w").tobytes() == np.array(oracles.pool_members(rows, "magmax", 0, "w"), np.float32).tobytes()
+    merged = magmax(as_task_vectors([tmap(w=r) for r in rows]), MergeSpec("magmax", lam=1.0))
+    assert merged.array("w").tobytes() == expected.tobytes()
+    assert merged.array("w").tobytes() == np.array(oracles.merge_magmax(rows, 1.0), np.float32).tobytes()
 
 
 @pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
