@@ -94,16 +94,12 @@ class LambdaHistogram:
 
     def to_json_dict(self) -> dict:
         return {
-            "bins": {_format_lambda(lam): count for lam, count in sorted(self.bins.items())},
+            "bins": {repr(lam): count for lam, count in sorted(self.bins.items())},
             "total": self.total,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-
-def _format_lambda(value: float) -> str:
-    return repr(round(value, 12))
 
 
 def best_lambda_histogram(table: AccuracyTable) -> LambdaHistogram:
@@ -138,14 +134,13 @@ def sweep_emit(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    merge_fn = registry_lookup(spec_template.method)
     deltas = compute_deltas(pretrained, finetuned, labels=labels)
-    merged = build_augmented(deltas, merge_fn, spec_template, space)
+    merged = build_augmented(deltas, registry_lookup(spec_template.method), spec_template, space)
 
     paths = []
     entries = []
     for lam, delta in zip(space.lambdas, merged):
-        name = f"{spec_template.method}_lambda{_format_lambda(lam)}.safetensors"
+        name = f"{spec_template.method}_lambda{lam!r}.safetensors"
         target = out_dir / name
         write_checkpoint(add(pretrained, delta), target)
         paths.append(target)

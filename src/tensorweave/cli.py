@@ -28,7 +28,7 @@ from .weave import PoolSpec, SearchSpace, default_search_space, weave
 
 log = logging.getLogger("tensorweave")
 # Each built-in method parameter -> the help of its flag, in registry order.
-_METHOD_PARAMS = {p: f"{name}: {meaning}" for name, m in _REGISTRY.items() for p, meaning in (m.params or {}).items()}
+_METHOD_PARAMS = {p: f"{name}: {meaning}" for name, m in _REGISTRY.items() for p, meaning in m.params.items()}
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -162,9 +162,7 @@ def _merge_spec(args: argparse.Namespace) -> MergeSpec:
     if args.method is None:
         raise ValueError("--method is required (flag or config)")
     params = {key: getattr(args, key) for key in _METHOD_PARAMS if getattr(args, key) is not None}
-    spec = MergeSpec(method=args.method, lam=args.lam, params=params, seed=args.seed)
-    registry_lookup(spec.method)  # an unknown method exits 2 before any input is read
-    return spec
+    return MergeSpec(method=args.method, lam=args.lam, params=params, seed=args.seed)
 
 
 def _read_inputs(args: argparse.Namespace) -> tuple[TensorMap, list[TensorMap], list[str]]:

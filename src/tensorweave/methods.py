@@ -1,11 +1,8 @@
-"""Built-in merge functions behind a uniform registry.
+"""The merge methods and their registry: the five built-ins are the full set.
 
 A merge function maps (task vectors, spec) to a single merged delta map.
-All built-ins work tensor by tensor, which the sweep engine relies on for
+Every method works tensor by tensor, which the sweep engine relies on for
 streaming: merging a sub-map equals the sub-map of the full merge.
-Registered extensions must preserve that property: a sweep calls a merge
-without a base kernel (every registered extension) once per tensor per
-scaling factor, on a one-tensor slice of the task vectors.
 
 Elementwise arithmetic accumulates in float64 and rounds once to float32
 per element, so results are independent of chunking and thread count and
@@ -15,7 +12,7 @@ can be checked bit-for-bit against a scalar reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +30,6 @@ __all__ = [
     "breadcrumbs",
     "magmax",
     "registry_lookup",
-    "register_merge",
     "available_methods",
 ]
 
@@ -58,12 +54,11 @@ class MergeSpec:
             raise ValueError(f"lambda must be a positive finite scalar, got {self.lam}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        method = _REGISTRY.get(self.method)
-        if method is not None and method.params is not None:
-            unknown = sorted(self.params.keys() - method.params)
-            if unknown:
-                raise ValueError(f"{self.method} does not accept parameter(s): {', '.join(unknown)}")
-            method.check(self)
+        method = _method(self.method)
+        unknown = sorted(self.params.keys() - method.params)
+        if unknown:
+            raise ValueError(f"{self.method} does not accept parameter(s): {', '.join(unknown)}")
+        method.check(self)
 
     def _require(self, key: str) -> float:
         if key not in self.params:
@@ -72,9 +67,6 @@ class MergeSpec:
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
         return value
-
-    def with_lambda(self, lam: float) -> "MergeSpec":
-        return replace(self, lam=lam)
 
     def to_json_dict(self) -> dict:
         return {"method": self.method, "lambda": self.lam, "params": dict(self.params), "seed": self.seed}
@@ -103,32 +95,20 @@ _BaseKernel = Callable[[str, list[np.ndarray], Sequence[int], MergeSpec], np.nda
 
 
 def _tensor_members(
-    name: str,
-    deltas: Sequence[TaskVector],
-    merge_fn: MergeFn | None,
-    kernel: _BaseKernel | None,
-    spec: MergeSpec,
-    lambdas: Sequence[float],
+    name: str, deltas: Sequence[TaskVector], kernel: _BaseKernel, spec: MergeSpec, lambdas: Sequence[float]
 ) -> list[np.ndarray]:
     """Tensor ``name`` merged at each factor in ``lambdas``, as float32 arrays of its shape.
 
-    With a base kernel, the base is computed once and rescaled per factor.
-    Without one, ``merge_fn`` runs on the one-tensor slice of the task
-    vectors at every factor. A member that overflows float32, here or
-    inside the kernel (``dare``'s rescale), holds Inf or NaN, which
-    ``_member`` reports. ``|f32(lam * base)|`` never shrinks as ``lam``
-    grows, so no member overflows unless the last one does.
+    The base is computed once and rescaled per factor. A member that
+    overflows float32, here or inside the kernel (``dare``'s rescale),
+    holds Inf or NaN, which ``_member`` reports. ``|f32(lam * base)|``
+    never shrinks as ``lam`` grows, so no member overflows unless the
+    last one does.
     """
-    if kernel is not None:
-        flats = [tv.delta.array(name).ravel() for tv in deltas]
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = kernel(name, flats, [tv.index for tv in deltas], spec).reshape(deltas[0].delta[name].shape)
-            return [(lam * base).astype(np.float32) for lam in lambdas]
-    slices = [
-        TaskVector(TensorMap({name: tv.delta[name]}), source_name=tv.source_name, index=tv.index)
-        for tv in deltas
-    ]
-    return [merge_fn(slices, spec.with_lambda(lam)).array(name) for lam in lambdas]
+    flats = [tv.delta.array(name).ravel() for tv in deltas]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = kernel(name, flats, [tv.index for tv in deltas], spec).reshape(deltas[0].delta[name].shape)
+        return [(lam * base).astype(np.float32) for lam in lambdas]
 
 
 def _member(name: str, lambdas: Sequence[float], members: Sequence[np.ndarray]) -> Tensor:
@@ -140,11 +120,11 @@ def _member(name: str, lambdas: Sequence[float], members: Sequence[np.ndarray]) 
         raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32") from None
 
 
-def _member_maps(deltas: Sequence[TaskVector], merge_fn: MergeFn | None, kernel: _BaseKernel | None,
-                 spec: MergeSpec, lambdas: Sequence[float]) -> list[TensorMap]:
+def _member_maps(deltas: Sequence[TaskVector], kernel: _BaseKernel, spec: MergeSpec,
+                 lambdas: Sequence[float]) -> list[TensorMap]:
     """The merged delta map at each factor in ``lambdas``, in order; see ``_tensor_members``."""
     _check_deltas(deltas)
-    per_tensor = {name: _tensor_members(name, deltas, merge_fn, kernel, spec, lambdas) for name in deltas[0].delta}
+    per_tensor = {name: _tensor_members(name, deltas, kernel, spec, lambdas) for name in deltas[0].delta}
     return [
         TensorMap({name: _member(name, lambdas[:end], members[:end]) for name, members in per_tensor.items()})
         for end in range(1, len(lambdas) + 1)
@@ -175,7 +155,7 @@ def _check_dare(spec: MergeSpec) -> None:
 
 def task_arithmetic(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     """lam * sum of the task vectors."""
-    return _member_maps(deltas, None, _ta_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, _ta_base, spec, (spec.lam,))[0]
 
 
 def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
@@ -185,7 +165,7 @@ def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     (seed, task index, tensor name, element index), so masks do not
     depend on execution order.
     """
-    return _member_maps(deltas, None, _dare_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, _dare_base, spec, (spec.lam,))[0]
 
 
 def _trim_count(fraction: float, size: int) -> int:
@@ -257,7 +237,7 @@ def ties(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     element is the sign of the sum of trimmed values. The output is the
     mean of trimmed values matching the elected sign, scaled by lam.
     """
-    return _member_maps(deltas, None, _ties_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, _ties_base, spec, (spec.lam,))[0]
 
 
 def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
@@ -290,7 +270,7 @@ def breadcrumbs(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     drop the lower flat index first on the small side and the higher flat
     index first on the large side.
     """
-    return _member_maps(deltas, None, _breadcrumbs_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, _breadcrumbs_base, spec, (spec.lam,))[0]
 
 
 def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
@@ -310,22 +290,19 @@ def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
 
     Magnitude ties select the smallest task index.
     """
-    return _member_maps(deltas, None, _magmax_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, _magmax_base, spec, (spec.lam,))[0]
 
 
 @dataclass(frozen=True)
 class _Method:
-    """Everything known about one merge method name.
-
-    Built-ins carry their base kernel, their parameters (name -> meaning,
-    the help of the CLI flag) and a check of the values; registered
-    extensions carry neither and accept any parameters.
+    """One merge method: its function, default factor range, base kernel, parameters
+    (name -> meaning, the help of the CLI flag) and a check of their values.
     """
 
     fn: MergeFn
-    lambda_range: tuple[float, float] | None = None
-    kernel: _BaseKernel | None = None
-    params: dict[str, str] | None = None
+    lambda_range: tuple[float, float]
+    kernel: _BaseKernel
+    params: dict[str, str]
     check: Callable[[MergeSpec], None] = lambda spec: None
 
 
@@ -341,30 +318,26 @@ _REGISTRY: dict[str, _Method] = {
 }
 
 
-def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel | None:
-    """The factor-free per-tensor kernel behind a merge function, if any.
+def _method(name: str) -> _Method:
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown merge method {name!r}; available: {', '.join(available_methods())}")
+    return _REGISTRY[name]
+
+
+def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel:
+    """The factor-free per-tensor kernel behind a built-in merge function.
 
     Sweeps use it to evaluate the merge once per tensor and rescale per
-    factor; functions without one are called at every factor. A name
-    re-registered with a custom function has no kernel.
+    factor. Raises ValueError for any other function.
     """
-    return next((m.kernel for m in _REGISTRY.values() if m.fn is merge_fn and m.kernel), None)
-
-
-def register_merge(name: str, fn: MergeFn, lambda_range: tuple[float, float] | None = None) -> None:
-    """Register a merge function; extensions plug in through here.
-
-    The entry replaces any earlier one of that name, built-in or not.
-    """
-    _REGISTRY[name] = _Method(fn, lambda_range)
+    for method in _REGISTRY.values():
+        if method.fn is merge_fn:
+            return method.kernel
+    raise ValueError(f"{merge_fn!r} is not a built-in merge function")
 
 
 def registry_lookup(name: str) -> MergeFn:
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown merge method {name!r}; available: {', '.join(available_methods())}"
-        )
-    return _REGISTRY[name].fn
+    return _method(name).fn
 
 
 def available_methods() -> list[str]:

@@ -183,7 +183,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
         if 8 + header_len > size:
             raise CheckpointError(f"{path}: malformed header: declared length {header_len} exceeds file size")
         try:
-            header = json.loads(handle.read(header_len).decode("utf-8"))
+            text = handle.read(header_len).decode("utf-8")
+            header = json.loads(text, object_pairs_hook=lambda pairs: _unique(path, pairs))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header JSON: {exc}") from exc
         if not isinstance(header, dict):
@@ -220,6 +221,16 @@ def read_checkpoint(path: str | Path) -> TensorMap:
             tensors[name] = Tensor(values, dtype, f"{path}: tensor {name!r}: {_NON_FINITE}")
 
     return TensorMap(tensors, metadata=metadata)
+
+
+def _unique(path, pairs: list[tuple[str, object]]) -> dict:
+    """A header object from its key/value pairs; ``json.loads`` alone would keep the last of equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CheckpointError(f"{path}: malformed header: duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:

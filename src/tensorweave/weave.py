@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -25,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .methods import MergeSpec, registry_lookup, sweep_base_kernel
-from .methods import _REGISTRY, _accumulate, _largest_magnitude, _member, _member_maps, _tensor_members
+from .methods import MergeSpec, sweep_base_kernel
+from .methods import _accumulate, _largest_magnitude, _member, _member_maps, _method, _tensor_members
 from .rng import stream_key, uniform01
 from .store import Tensor, TensorMap, require_compatible
 from .vectors import TaskVector, compute_deltas
@@ -42,18 +43,17 @@ __all__ = [
 ]
 
 _POOLINGS = ("avg", "random", "magmax")
-_FALLBACK_RANGE = (0.1, 1.0)
 _DEFAULT_STEP = 0.1
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Ordered scaling factors to sweep; strictly increasing, all positive."""
+    """Ordered scaling factors to sweep: real numbers (not booleans), strictly increasing, all positive."""
 
     lambdas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(isinstance(v, bool) for v in self.lambdas):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.lambdas):
             raise ValueError(f"scaling factors must be numbers, got {list(self.lambdas)}")
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if not self.lambdas:
@@ -73,8 +73,6 @@ class SearchSpace:
                 values = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid scaling-factor list: {exc}") from exc
-            if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-                raise ValueError("scaling-factor list must contain only numbers")
             return cls(tuple(values))
         parts = text.split(":")
         if len(parts) != 3:
@@ -94,11 +92,8 @@ def _spaced(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 
 def default_search_space(method: str) -> SearchSpace:
-    """The method's default sweep: its registered range at step 0.1.
-
-    Methods without a registered range fall back to 0.1..1.0.
-    """
-    start, stop = getattr(_REGISTRY.get(method), "lambda_range", None) or _FALLBACK_RANGE
+    """The method's default sweep: its registered range at step 0.1."""
+    start, stop = _method(method).lambda_range
     return SearchSpace(_spaced(start, stop, _DEFAULT_STEP))
 
 
@@ -148,10 +143,10 @@ def build_augmented(
 ) -> list[TensorMap]:
     """The merged delta at every scaling factor, in sweep order.
 
-    Built-in merges evaluate their factor-free part once per tensor and
-    rescale; the result is identical to merging from scratch per factor.
+    Each merge evaluates its factor-free part once per tensor and
+    rescales; the result is identical to merging from scratch per factor.
     """
-    return _member_maps(deltas, merge_fn, sweep_base_kernel(merge_fn), spec_template, space.lambdas)
+    return _member_maps(deltas, sweep_base_kernel(merge_fn), spec_template, space.lambdas)
 
 
 def _pool_flat(name: str, flats: list[np.ndarray], pooling: str, seed: int) -> np.ndarray:
@@ -203,14 +198,13 @@ def weave(
     started = time.perf_counter()
     if not finetuned:
         raise ValueError("weave needs at least one fine-tuned checkpoint")
-    merge_fn = registry_lookup(spec_template.method)
+    kernel = _method(spec_template.method).kernel
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
     deltas = compute_deltas(pretrained, finetuned, labels=labels)
-    kernel = sweep_base_kernel(merge_fn)
 
     def weave_one(name: str) -> tuple[str, Tensor]:
-        members = _tensor_members(name, deltas, merge_fn, kernel, spec_template, space.lambdas)
+        members = _tensor_members(name, deltas, kernel, spec_template, space.lambdas)
         _member(name, space.lambdas, members)  # an overflowing member is an error, whatever the pooling
         flats = [tv.delta.array(name).ravel() for tv in deltas] if pool_spec.include_deltas else []
         pooled = _pool_flat(name, flats + [m.ravel() for m in members], pool_spec.pooling, pool_spec.seed)

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ def test_c06_magmax_pooling_collapses_to_top_lambda():
         vectors = compute_deltas(pre, finetuned)
         members = [tv.delta.array("w") for tv in vectors]
         members += [
-            task_arithmetic(vectors, spec.with_lambda(lam)).array("w") for lam in lambdas
+            task_arithmetic(vectors, replace(spec, lam=lam)).array("w") for lam in lambdas
         ]
         top = members[-1]
         for other in members[:-1]:

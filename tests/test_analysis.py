@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -76,6 +77,12 @@ def test_histogram_json_format():
     assert payload == {"bins": {"0.5": 1}, "total": 1}
 
 
+def test_histogram_json_keeps_close_lambdas_apart():
+    rows = [("a", 0.1, 1.0), ("b", 0.1000000000001, 1.0)]
+    payload = json.loads(best_lambda_histogram(table_from(rows)).to_json())
+    assert payload == {"bins": {"0.1": 1, "0.1000000000001": 1}, "total": 2}
+
+
 def test_table_rejects_duplicates_and_empty():
     with pytest.raises(ValueError, match="duplicate"):
         table_from([("a", 0.5, 0.1), ("a", 0.5, 0.2)])
@@ -135,6 +142,17 @@ def test_sweep_emit_files_and_manifest(tmp_path, rng):
     assert manifest["spec"]["method"] == "task_arithmetic"
 
 
+def test_sweep_emit_close_lambdas_write_distinct_files(tmp_path, rng):
+    pre, finetuned = random_instance(rng, 1)
+    space = SearchSpace((0.1, 0.1000000000001))
+    paths = sweep_emit(pre, finetuned, MergeSpec("task_arithmetic"), space, tmp_path)
+    names = ["task_arithmetic_lambda0.1.safetensors", "task_arithmetic_lambda0.1000000000001.safetensors"]
+    assert [p.name for p in paths] == names
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [f["path"] for f in manifest["files"]] == names
+    assert sorted(p.name for p in tmp_path.glob("*.safetensors")) == names
+
+
 def test_sweep_emit_round_trips_bitwise(tmp_path, rng):
     pre, finetuned = random_instance(rng, 2)
     spec = MergeSpec("ties", params={"keep_fraction": 0.4})
@@ -144,7 +162,7 @@ def test_sweep_emit_round_trips_bitwise(tmp_path, rng):
     merge = registry_lookup("ties")
     for lam, path in zip(space.lambdas, paths):
         loaded = read_checkpoint(path)
-        expected = add(pre, merge(deltas, spec.with_lambda(lam)))
+        expected = add(pre, merge(deltas, replace(spec, lam=lam)))
         for name in pre:
             assert loaded.array(name).tobytes() == expected.array(name).tobytes()
 

@@ -371,6 +371,28 @@ def test_registry_unknown_lists_available():
         assert name in message
 
 
+def test_sweep_base_kernel_serves_only_builtins():
+    from tensorweave.methods import _REGISTRY, sweep_base_kernel
+
+    for name in available_methods():
+        assert sweep_base_kernel(registry_lookup(name)) is _REGISTRY[name].kernel
+    with pytest.raises(ValueError, match="not a built-in merge function"):
+        sweep_base_kernel(lambda deltas, spec: ties(deltas, spec))
+
+
+def test_public_surface_is_fixed():
+    import tensorweave
+
+    assert tensorweave.__all__ == [
+        "AccuracyTable", "CheckpointError", "CsvFormatError", "FingerprintMismatch", "LambdaHistogram",
+        "MergeFn", "MergeSpec", "PoolSpec", "SearchSpace", "SimilarityMatrix", "TaskVector", "Tensor",
+        "TensorMap", "WeaveReport", "add", "available_methods", "best_lambda_histogram", "breadcrumbs",
+        "build_augmented", "compute_deltas", "cosine_matrix", "dare", "default_search_space", "magmax",
+        "pool", "read_checkpoint", "registry_lookup", "sweep_emit", "task_arithmetic", "ties", "weave",
+        "write_checkpoint",
+    ]
+
+
 # --------------------------------------------------------- shared invariants
 
 

@@ -213,6 +213,24 @@ def test_malformed_header_names_file_and_tensor(tmp_path, capsys, header, tensor
     assert captured.err.splitlines() == [f"error: {caught.value}"]
 
 
+def test_duplicate_header_key_names_file_and_key(tmp_path, capsys):
+    # json.loads alone keeps the last of two equal keys, so the second entry would load silently
+    target = tmp_path / "dup.safetensors"
+    blob = (
+        b'{"w":{"dtype":"F32","shape":[4],"data_offsets":[0,16]},'
+        b'"w":{"dtype":"F32","shape":[4],"data_offsets":[16,32]}}'
+    )
+    payload = struct.pack("<8f", 0, 1, 2, 3, -0.0, -1, -2, -3)
+    target.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+    with pytest.raises(CheckpointError) as caught:
+        read_checkpoint(target)
+    assert str(caught.value) == f"{target}: malformed header: duplicate key 'w'"
+    assert main(["inspect", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {caught.value}"]
+
+
 def test_overlapping_offsets(tmp_path):
     target = tmp_path / "overlap.safetensors"
     payload = struct.pack("<3f", 1.0, 2.0, 3.0)
