@@ -141,21 +141,24 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_options(args: argparse.Namespace, config: dict) -> None:
-    """Set each option of the command on ``args``: flag, else config, else default."""
+    """Set each option of the command on ``args``: flag, else config, else default.
+
+    A value that does not convert is a ValueError naming its flag or config key.
+    """
     for dest, (key, convert, default) in _OPTIONS.items():
         if not hasattr(args, dest):
             continue
-        value = getattr(args, dest)
-        if value is not None:
-            value = convert(value)
+        if getattr(args, dest) is not None:
+            value, source = getattr(args, dest), f"--{key.replace('_', '-')}"
         elif key in config:
-            try:
-                value = convert(config[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+            value, source = config[key], f"config key {key!r}"
         else:
-            value = default
-        setattr(args, dest, value)
+            setattr(args, dest, default)
+            continue
+        try:
+            setattr(args, dest, convert(value))
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge JSON integer overflows
+            raise ValueError(f"{source}: {exc}") from None
 
 
 def _merge_spec(args: argparse.Namespace) -> MergeSpec:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,9 +79,10 @@ def _check_deltas(deltas: Sequence[TaskVector]) -> None:
         require_compatible(deltas[0].delta, tv.delta, label=f"task vector {pos}")
 
 
-def _accumulate(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise sum, float64 accumulation in task order."""
-    acc = np.zeros(parts[0].shape, dtype=np.float64)
+def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise sum, float64 accumulation in order from +0.0; ``parts`` is consumed one at a time."""
+    parts = iter(parts)
+    acc = np.add(0.0, next(parts), dtype=np.float64)
     for part in parts:
         np.add(acc, part, out=acc)
     return acc
@@ -94,41 +95,50 @@ def _accumulate(parts: Sequence[np.ndarray]) -> np.ndarray:
 _BaseKernel = Callable[[str, list[np.ndarray], Sequence[int], MergeSpec], np.ndarray]
 
 
-def _tensor_members(
-    name: str, deltas: Sequence[TaskVector], kernel: _BaseKernel, spec: MergeSpec, lambdas: Sequence[float]
-) -> list[np.ndarray]:
-    """Tensor ``name`` merged at each factor in ``lambdas``, as float32 arrays of its shape.
+def _tensor_base(
+    name: str, flats: list[np.ndarray], indices: Sequence[int], kernel: _BaseKernel, spec: MergeSpec
+) -> np.ndarray:
+    """Tensor ``name``'s flat float64 kernel base.
 
-    The base is computed once and rescaled per factor. A member that
-    overflows float32, here or inside the kernel (``dare``'s rescale),
-    holds Inf or NaN, which ``_member`` reports. ``|f32(lam * base)|``
-    never shrinks as ``lam`` grows, so no member overflows unless the
-    last one does.
+    An overflow inside the kernel (``dare``'s rescale) leaves Inf or NaN,
+    which ``_member`` reports.
     """
-    flats = [tv.delta.array(name).ravel() for tv in deltas]
     with np.errstate(over="ignore", invalid="ignore"):
-        base = kernel(name, flats, [tv.index for tv in deltas], spec).reshape(deltas[0].delta[name].shape)
-        return [(lam * base).astype(np.float32) for lam in lambdas]
+        return kernel(name, flats, indices, spec)
 
 
-def _member(name: str, lambdas: Sequence[float], members: Sequence[np.ndarray]) -> Tensor:
-    """The last of tensor ``name``'s ``members``, checked; an overflow names the smallest lambda to overflow."""
-    try:
-        return Tensor(members[-1])
-    except CheckpointError:
-        lam = next(lam for lam, values in zip(lambdas, members) if not np.isfinite(values).all())
-        raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32") from None
+def _scaled(lam: float, base: np.ndarray) -> np.ndarray:
+    """The sweep member at factor ``lam``: ``lam * base`` rounded to float32."""
+    return (lam * base).astype(np.float32)
+
+
+def _member(name: str, lambdas: Sequence[float], base: np.ndarray) -> Tensor:
+    """Tensor ``name``'s member at the last of ``lambdas``, checked.
+
+    ``|f32(lam * base)|`` never shrinks as ``lam`` grows, so no member
+    overflows unless the last one does; only then are the others cast, to
+    name the smallest lambda that overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return Tensor(_scaled(lambdas[-1], base))
+        except CheckpointError:
+            lam = next(lam for lam in lambdas if not np.isfinite(_scaled(lam, base)).all())
+            raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32") from None
 
 
 def _member_maps(deltas: Sequence[TaskVector], kernel: _BaseKernel, spec: MergeSpec,
                  lambdas: Sequence[float]) -> list[TensorMap]:
-    """The merged delta map at each factor in ``lambdas``, in order; see ``_tensor_members``."""
+    """The merged delta map at each factor in ``lambdas``, in order; the base is computed once per tensor."""
     _check_deltas(deltas)
-    per_tensor = {name: _tensor_members(name, deltas, kernel, spec, lambdas) for name in deltas[0].delta}
-    return [
-        TensorMap({name: _member(name, lambdas[:end], members[:end]) for name, members in per_tensor.items()})
-        for end in range(1, len(lambdas) + 1)
-    ]
+    indices = [tv.index for tv in deltas]
+    per_tensor = {}
+    for name, tensor in deltas[0].delta.items():
+        flats = [tv.delta.array(name).ravel() for tv in deltas]
+        base = _tensor_base(name, flats, indices, kernel, spec).reshape(tensor.shape)
+        per_tensor[name] = [_member(name, lambdas[:end], base) for end in range(1, len(lambdas) + 1)]
+        del base  # before the next tensor's kernel runs
+    return [TensorMap({name: members[pos] for name, members in per_tensor.items()}) for pos in range(len(lambdas))]
 
 
 def _ta_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:

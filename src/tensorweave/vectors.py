@@ -42,22 +42,29 @@ def compute_deltas(
     A difference that overflows float32 raises CheckpointError naming the
     checkpoint's label and the tensor.
     """
-    if labels is not None and len(labels) != len(finetuned):
-        raise ValueError(f"got {len(labels)} labels for {len(finetuned)} checkpoints")
     out = []
-    for pos, candidate in enumerate(finetuned):
-        require_compatible(pretrained, candidate, label=f"fine-tuned checkpoint {pos + 1}")
-        label = labels[pos] if labels is not None else f"task{pos + 1}"
-        with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
-            tensors = {
-                name: Tensor(
-                    candidate.array(name) - t.values,
-                    error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows float32",
-                )
-                for name, t in pretrained.items()
-            }
+    for pos, (label, candidate) in enumerate(zip(_task_labels(pretrained, finetuned, labels), finetuned)):
+        tensors = {name: _task_delta(label, name, candidate.array(name), t.values) for name, t in pretrained.items()}
         out.append(TaskVector(TensorMap(tensors), source_name=label, index=pos + 1))
     return out
+
+
+def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str] | None) -> list[str]:
+    """Each checkpoint's label (``task<i>`` when ``labels`` is None), once every checkpoint matches ``pretrained``."""
+    if labels is not None and len(labels) != len(finetuned):
+        raise ValueError(f"got {len(labels)} labels for {len(finetuned)} checkpoints")
+    for pos, candidate in enumerate(finetuned):
+        require_compatible(pretrained, candidate, label=f"fine-tuned checkpoint {pos + 1}")
+    return list(labels) if labels is not None else [f"task{pos + 1}" for pos in range(len(finetuned))]
+
+
+def _task_delta(label: str, name: str, finetuned: np.ndarray, pretrained: np.ndarray) -> Tensor:
+    """Tensor ``name``'s task vector, finetuned - pretrained; an overflow names the checkpoint and the tensor."""
+    with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
+        return Tensor(
+            finetuned - pretrained,
+            error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows float32",
+        )
 
 
 def add(base: TensorMap, delta: TensorMap) -> TensorMap:

@@ -3,34 +3,39 @@
 Instead of searching for one good scaling factor, the driver runs the
 merge function at every factor in a search space, pools the resulting
 weights per parameter (optionally together with the raw task vectors),
-and adds the pooled delta back onto the pre-trained weights. Pooling
-streams tensor by tensor: the member slices for one tensor are
-materialized, pooled, and released before the next. The inputs, every
-task vector and the output are held whole as float32 models (an input
-read from disk holds its float32 values and no other file bytes,
-whatever its stored dtype), so peak memory is 2 x tasks + 2 whole float32
-models plus, per worker thread, a small multiple of (members + tasks) x
-the tensor in flight: its members, the kernel's float64 intermediates and
-the pooling's work (only ``random`` stacks a copy of all members).
+and adds the pooled delta back onto the pre-trained weights.
+
+``weave`` works on one tensor at a time, from its inputs: the tensor's
+task vectors, the merge kernel's base, the members the pooling needs and
+the pooled delta are made, used and released before the next tensor.
+Only the inputs and the output are held whole as float32 models (an input
+read from disk holds its float32 values and no other file bytes, whatever
+its stored dtype). Above them, each worker thread holds a small multiple
+of (tasks + members) x the tensor in flight: its task vectors, the
+kernel's float64 base and intermediates, and one member cast at a time
+(``avg`` adds each into a float64 sum; ``magmax`` casts only the top
+member, since a member that ties it has its bits). Only ``random`` stacks
+a copy of all members.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .methods import MergeSpec, sweep_base_kernel
-from .methods import _accumulate, _largest_magnitude, _member, _member_maps, _method, _tensor_members
+from .methods import _accumulate, _largest_magnitude, _member, _member_maps, _method, _scaled, _tensor_base
 from .rng import stream_key, uniform01
 from .store import Tensor, TensorMap, require_compatible
-from .vectors import TaskVector, compute_deltas
+from .vectors import TaskVector, _task_delta, _task_labels
 
 __all__ = [
     "SearchSpace",
@@ -55,7 +60,10 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.lambdas):
             raise ValueError(f"scaling factors must be numbers, got {list(self.lambdas)}")
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        try:
+            object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        except OverflowError:
+            raise ValueError("scaling factors must be finite, got an integer too large for a float") from None
         if not self.lambdas:
             raise ValueError("search space must not be empty")
         for value in self.lambdas:
@@ -149,10 +157,15 @@ def build_augmented(
     return _member_maps(deltas, sweep_base_kernel(merge_fn), spec_template, space.lambdas)
 
 
-def _pool_flat(name: str, flats: list[np.ndarray], pooling: str, seed: int) -> np.ndarray:
-    count = len(flats)
+def _pool_flat(name: str, flats: Iterable[np.ndarray], count: int, pooling: str, seed: int) -> np.ndarray:
+    """Pool the ``count`` members that ``flats`` yields in member order.
+
+    ``avg`` consumes them one at a time. ``magmax`` may be given only the
+    members that can set a pick.
+    """
     if pooling == "avg":
         return (_accumulate(flats) / count).astype(np.float32)
+    flats = list(flats)
     if pooling == "magmax":  # ties resolve to the lowest member index
         return _largest_magnitude(flats)
     stack = np.stack(flats)
@@ -174,7 +187,7 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
     out = {}
     for name, tensor in members[0].items():
         flats = [m.array(name).ravel() for m in members]
-        out[name] = _pool_flat(name, flats, spec.pooling, spec.seed).reshape(tensor.shape)
+        out[name] = _pool_flat(name, flats, len(flats), spec.pooling, spec.seed).reshape(tensor.shape)
     return TensorMap(out)
 
 
@@ -201,34 +214,40 @@ def weave(
     kernel = _method(spec_template.method).kernel
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
-    deltas = compute_deltas(pretrained, finetuned, labels=labels)
+    labels = _task_labels(pretrained, finetuned, labels)
+    indices = range(1, len(finetuned) + 1)
+    n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
 
     def weave_one(name: str) -> tuple[str, Tensor]:
-        members = _tensor_members(name, deltas, kernel, spec_template, space.lambdas)
-        _member(name, space.lambdas, members)  # an overflowing member is an error, whatever the pooling
-        flats = [tv.delta.array(name).ravel() for tv in deltas] if pool_spec.include_deltas else []
-        pooled = _pool_flat(name, flats + [m.ravel() for m in members], pool_spec.pooling, pool_spec.seed)
         pre = pretrained[name]
+        flats = [_task_delta(label, name, ft.array(name), pre.values).values.ravel()
+                 for label, ft in zip(labels, finetuned)]
+        base = _tensor_base(name, flats, indices, kernel, spec_template)
+        top = _member(name, space.lambdas, base).values  # an overflowing member is an error, whatever the pooling
+        # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member
+        # that ties the top one has its bits: magmax pooling needs no other member
+        if pool_spec.pooling == "magmax":
+            sweep = [top]
+        else:  # cast one member at a time, in sweep order
+            sweep = itertools.chain((_scaled(lam, base) for lam in space.lambdas[:-1]), [top])
+        raw = flats if pool_spec.include_deltas else []
+        pooled = _pool_flat(name, itertools.chain(raw, sweep), n_members, pool_spec.pooling, pool_spec.seed)
         with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports
             rebased = pre.values + pooled.reshape(pre.shape)
         error = f"tensor {name!r}: pre-trained plus pooled delta overflows float32"
         return name, Tensor(rebased, pre.stored_dtype, error)
 
     names = pretrained.names
-    if threads == 1:  # a worker thread's glibc malloc arena gives freed pages back, so they fault again
-        results = dict(map(weave_one, names))
-    else:  # the executor rejects threads < 1
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            results = dict(executor.map(weave_one, names))
+    with ThreadPoolExecutor(max_workers=threads) as executor:  # the executor rejects threads < 1
+        results = dict(executor.map(weave_one, names))
 
     final = TensorMap(results, metadata=pretrained.metadata)
-    n_members = len(space.lambdas) + (len(deltas) if pool_spec.include_deltas else 0)
     report = WeaveReport(
         method=spec_template.method,
         lambdas=space.lambdas,
         pooling=pool_spec.pooling,
         include_deltas=pool_spec.include_deltas,
-        n_tasks=len(deltas),
+        n_tasks=len(finetuned),
         n_members=n_members,
         element_counts={name: pretrained[name].size for name in names},
         wall_time_s=time.perf_counter() - started,

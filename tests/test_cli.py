@@ -334,7 +334,7 @@ def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
         ("lambda", None), ("drop_rate", {}), ("threads", None), ("seed", [1]),
         ("include_deltas", "false"), ("include_deltas", 0),
         ("lambda", True), ("drop_rate", False), ("threads", 1.9), ("seed", 2.5), ("lambda_range", [True, 2]),
-        ("lambda_range", ["0.5", 1]),
+        ("lambda_range", ["0.5", 1]), ("lambda", int("1" * 400)),
     ):
         config = tmp_path / f"{key}.json"
         config.write_text(json.dumps({"method": "dare", "drop_rate": 0.5, key: value}))
@@ -345,11 +345,13 @@ def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
         assert "Traceback" not in err
         assert not out.exists()
     out = tmp_path / "woven.safetensors"
-    code = run("weave", "--method", "dare", "--drop-rate", "0.5", "--lambda-range", "[true, 2]",
-               "--pretrained", PRE, "--out", out, CARS)
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
-    assert not out.exists()
+    for values in ("[true, 2]", f"[0.5, {'1' * 400}]"):
+        code = run("weave", "--method", "dare", "--drop-rate", "0.5", "--lambda-range", values,
+                   "--pretrained", PRE, "--out", out, CARS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--lambda-range" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_config_numeric_strings_convert(tmp_path):

@@ -1,10 +1,12 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tensorweave import (
+    CheckpointError,
     MergeSpec,
     PoolSpec,
     SearchSpace,
@@ -66,6 +68,8 @@ def test_search_space_validation():
     for values in (("0.5", 1), (None, 1), (0.5, "1")):
         with pytest.raises(ValueError, match="must be numbers"):
             SearchSpace(values)
+    with pytest.raises(ValueError, match="too large for a float"):
+        SearchSpace((0.5, int("1" * 400)))
     assert SearchSpace((np.float32(0.5), np.float64(1.0), 2)).lambdas == (0.5, 1.0, 2.0)
 
 
@@ -295,21 +299,62 @@ def test_weave_equals_naive_oracle(rng, method, params, pooling):
         assert final.array(name).ravel().tolist() == expected[name]
 
 
-def test_weave_streaming_equals_full_materialization(rng):
-    # library-level cross-check: explicit member materialization then pool
-    pre, finetuned = random_instance(rng, 2)
-    spec = MergeSpec("breadcrumbs", params={"beta": 0.2, "gamma": 0.2}, seed=5)
-    space = SearchSpace((0.4, 1.0))
-    pool_spec = PoolSpec(pooling="magmax", seed=5, include_deltas=True)
-    final, _ = weave(pre, finetuned, spec, space=space, pool_spec=pool_spec)
+def tie_heavy_instance(n_tasks: int = 3) -> tuple[TensorMap, list[TensorMap]]:
+    """Inputs that break a pooling shortcut which is not bit-exact.
 
-    deltas = compute_deltas(pre, finetuned)
-    members = [tv.delta for tv in deltas]
-    members += build_augmented(deltas, registry_lookup("breadcrumbs"), spec, space)
-    pooled = pool(members, pool_spec)
-    for name in pre:
-        expected = pre.array(name) + pooled.array(name)
-        assert final.array(name).tobytes() == expected.tobytes()
+    ``zeros``: task vectors of +0.0 and -0.0, all -0.0 in the first ten
+    elements. ``tiny``: subnormal task vectors, whose members at nearby
+    factors round to the same float32 value, or underflow to a signed zero.
+    ``grid``: values on a coarse F16 grid, dense with magnitude ties.
+    """
+    gen = np.random.default_rng(17)
+    size = 60
+    pre = {
+        "grid": gen.integers(-8, 9, size).astype(np.float16).astype(np.float32) / 8,
+        "tiny": np.zeros(size, dtype=np.float32),
+        "zeros": np.zeros(size, dtype=np.float32),
+        "wide": gen.normal(size=(6, 10)).astype(np.float32),
+    }
+    finetuned = []
+    for _ in range(n_tasks):
+        zeros = gen.choice(np.array([-0.0, 0.0], dtype=np.float32), size)
+        zeros[:10] = -0.0
+        finetuned.append(TensorMap({
+            "grid": pre["grid"] + gen.integers(-3, 4, size).astype(np.float32) / 4,
+            "tiny": gen.integers(-3, 4, size).astype(np.float32) * np.float32(2.0**-149),
+            "zeros": zeros,
+            "wide": pre["wide"] + gen.normal(size=(6, 10)).astype(np.float32),
+        }))
+    return TensorMap(pre), finetuned
+
+
+ALL_METHODS = (
+    ("task_arithmetic", {}),
+    ("dare", {"drop_rate": 0.35}),
+    ("ties", {"keep_fraction": 0.6}),
+    ("breadcrumbs", {"beta": 0.15, "gamma": 0.1}),
+    ("magmax", {}),
+)
+
+
+def test_weave_streaming_equals_full_materialization(rng):
+    # library-level cross-check: weave builds only the members each pooling needs, tensor by tensor;
+    # it must match materializing every member of the whole model, then pooling, byte for byte
+    space = SearchSpace((0.3, 0.5, 0.5000001, 1.0, 1.25))
+    for pre, finetuned in (random_instance(rng, 2), tie_heavy_instance()):
+        deltas = compute_deltas(pre, finetuned)
+        for method, params in ALL_METHODS:
+            spec = MergeSpec(method, params=params, seed=5)
+            swept = build_augmented(deltas, registry_lookup(method), spec, space)
+            for pooling in ("avg", "random", "magmax"):
+                for include in (True, False):
+                    pool_spec = PoolSpec(pooling=pooling, seed=5, include_deltas=include)
+                    pooled = pool(([tv.delta for tv in deltas] if include else []) + swept, pool_spec)
+                    expected = {name: (pre.array(name) + pooled.array(name)).tobytes() for name in pre}
+                    for threads in (1, 2):
+                        final, _ = weave(pre, finetuned, spec, space=space, pool_spec=pool_spec, threads=threads)
+                        got = {name: final.array(name).tobytes() for name in final}
+                        assert got == expected, (method, pooling, include, threads)
 
 
 def test_build_augmented_fast_path_matches_per_factor_merges(rng):
@@ -413,19 +458,71 @@ def test_weave_wall_time_includes_deltas(monkeypatch, rng):
     import importlib
 
     weave_module = importlib.import_module("tensorweave.weave")  # the package re-exports a function of that name
-    real_compute_deltas = weave_module.compute_deltas
+    real_task_delta = weave_module._task_delta
+    calls = []
 
-    def slow_compute_deltas(*args, **kwargs):
+    def slow_task_delta(*args, **kwargs):
+        calls.append(args[:2])
         time.sleep(0.05)
-        return real_compute_deltas(*args, **kwargs)
+        return real_task_delta(*args, **kwargs)
 
-    monkeypatch.setattr(weave_module, "compute_deltas", slow_compute_deltas)
+    monkeypatch.setattr(weave_module, "_task_delta", slow_task_delta)
     pre, finetuned = random_instance(rng, 2)
     _, report = weave(pre, finetuned, MergeSpec("task_arithmetic"))
-    assert report.wall_time_s >= 0.05
+    assert sorted(calls) == sorted((label, name) for label in ("task1", "task2") for name in pre)
+    assert report.wall_time_s >= 0.05 * len(calls)
 
 
 def test_weave_requires_inputs(rng):
     pre, _ = random_instance(rng, 1)
     with pytest.raises(ValueError):
         weave(pre, [], MergeSpec("task_arithmetic"))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_weave_overflowing_task_vector_names_label_and_tensor(threads):
+    pre = tmap(a=[0.0, 1.0], b=[-3e38, 0.0])
+    finetuned = [tmap(a=[1.0, 1.0], b=[0.0, 0.0]), tmap(a=[0.0, 2.0], b=[3e38, 0.0])]
+    with pytest.raises(CheckpointError) as excinfo:
+        weave(pre, finetuned, MergeSpec("task_arithmetic"), labels=["near", "far"], threads=threads)
+    assert str(excinfo.value) == "far: tensor 'b': task vector (fine-tuned minus pre-trained) overflows float32"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
+def test_weave_overflowing_merged_delta_names_smallest_lambda(pooling, threads):
+    # task vectors of 1e38 and 2e38 sum to 3e38: finite at lambda 1.0, beyond float32 from lambda 1.2
+    pre = tmap(a=[0.0, 0.0], b=[0.0, 0.0])
+    finetuned = [tmap(a=[1.0, 1.0], b=[1e38, 0.0]), tmap(a=[1.0, 1.0], b=[2e38, 0.0])]
+    space = SearchSpace((0.5, 1.0, 1.2, 1.5, 2.0))
+    with pytest.raises(CheckpointError) as excinfo:
+        weave(pre, finetuned, MergeSpec("task_arithmetic"), space=space, pool_spec=PoolSpec(pooling=pooling),
+              threads=threads)
+    assert str(excinfo.value) == "tensor 'b': merged delta at lambda 1.2 overflows float32"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
+def test_weave_added_memory_is_the_output_plus_tensors_in_flight(pooling, threads):
+    # the bound of the weave module docstring: above its inputs, weave holds the output model and,
+    # per worker, a small multiple of (tasks + members) x the tensor in flight; task vectors held
+    # for the whole model would add tasks x the model (4 x 64 tensors here), beyond the allowance
+    gen = np.random.default_rng(5)
+    shape, n_tensors, n_tasks = (128, 128), 64, 4
+
+    def model():
+        return TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32) for i in range(n_tensors)})
+
+    pre, finetuned = model(), [model() for _ in range(n_tasks)]
+    space = default_search_space("ties")
+    tensor_bytes = shape[0] * shape[1] * 4
+    allowance = (n_tensors + threads * 4 * (n_tasks + len(space.lambdas))) * tensor_bytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weave(pre, finetuned, MergeSpec("ties", params={"keep_fraction": 0.5}), space=space,
+              pool_spec=PoolSpec(pooling=pooling), threads=threads)
+        added_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert added_peak <= allowance
