@@ -8,17 +8,19 @@ checkpoint per scaling factor for external evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .methods import MergeSpec, registry_lookup
-from .store import TensorMap, write_checkpoint
-from .vectors import add, compute_deltas
-from .weave import SearchSpace, build_augmented
+from .methods import MergeSpec, _method, _scaled
+from .store import TensorMap, _write_text, _Writer
+from .vectors import _rebased, _task_labels
+from .weave import SearchSpace, _tensor_sweep
 
 __all__ = [
     "CsvFormatError",
@@ -131,25 +133,37 @@ def sweep_emit(
     Files are named ``<method>_lambda<value>.safetensors``; the manifest
     ``manifest.json`` lists them with their factors. Returns the
     checkpoint paths in sweep order.
+
+    Every factor's file is open at once and filled one tensor at a time,
+    in name order: the tensor's task vectors and kernel base are made
+    once, and each factor's re-based tensor goes straight to its file. So
+    above its inputs (nothing, for the CLI's checkpoint readers) a sweep
+    holds O(tasks x largest tensor), plus one open file per factor. The
+    files replace their targets only once every tensor is written: an
+    error, named for the first faulty tensor, leaves no new file behind.
     """
+    if not finetuned:
+        raise ValueError("merge needs at least one task vector")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    deltas = compute_deltas(pretrained, finetuned, labels=labels)
-    merged = build_augmented(deltas, registry_lookup(spec_template.method), spec_template, space)
+    kernel = _method(spec_template.method).kernel
+    labels = _task_labels(pretrained, finetuned, labels)
+    files = [f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
 
-    paths = []
-    entries = []
-    for lam, delta in zip(space.lambdas, merged):
-        name = f"{spec_template.method}_lambda{lam!r}.safetensors"
-        target = out_dir / name
-        write_checkpoint(add(pretrained, delta), target)
-        paths.append(target)
-        entries.append({"lambda": lam, "path": name})
+    with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
+        writers = [stack.enter_context(_Writer(out_dir / file, pretrained.items(), pretrained.metadata))
+                   for file in files]
+        for name, entry in pretrained.items():
+            pre, flats, base, top = _tensor_sweep(name, pretrained, finetuned, labels, kernel, spec_template, space)
+            members = itertools.chain((_scaled(lam, base) for lam in space.lambdas[:-1]), [top])
+            for writer, member in zip(writers, members):
+                writer.write(name, _rebased(name, pre, member.reshape(pre.shape), entry.stored_dtype))
+            del pre, flats, base, top, members, member  # before the next tensor's sweep runs
 
     manifest = {
         "spec": spec_template.to_json_dict(),
         "lambdas": list(space.lambdas),
-        "files": entries,
+        "files": [{"lambda": lam, "path": file} for lam, file in zip(space.lambdas, files)],
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return paths
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return [out_dir / file for file in files]

@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -20,6 +21,8 @@ from .store import (
     CheckpointError,
     FingerprintMismatch,
     TensorMap,
+    _Reader,
+    _write_text,
     read_checkpoint,
     write_checkpoint,
 )
@@ -168,13 +171,23 @@ def _merge_spec(args: argparse.Namespace) -> MergeSpec:
     return MergeSpec(method=args.method, lam=args.lam, params=params, seed=args.seed)
 
 
-def _read_inputs(args: argparse.Namespace) -> tuple[TensorMap, list[TensorMap], list[str]]:
+def _read_inputs(
+    args: argparse.Namespace, stack: contextlib.ExitStack | None = None
+) -> tuple[TensorMap, list[TensorMap], list[str]]:
+    """The pre-trained and fine-tuned checkpoints, and the task labels (file stems).
+
+    Each checkpoint is loaded whole; with ``stack``, it is instead an open
+    reader, closed with the stack, that reads each tensor when asked.
+    """
+    def load(path: str) -> TensorMap:
+        return read_checkpoint(path) if stack is None else stack.enter_context(_Reader(path))
+
     log.info("reading pre-trained checkpoint %s", args.pretrained)
-    pretrained = read_checkpoint(args.pretrained)
+    pretrained = load(args.pretrained)
     finetuned, labels = [], []
     for path in args.finetuned:
         log.info("reading fine-tuned checkpoint %s", path)
-        finetuned.append(read_checkpoint(path))
+        finetuned.append(load(path))
         labels.append(Path(path).stem)
     return pretrained, finetuned, labels
 
@@ -211,14 +224,16 @@ def _cmd_weave(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
-    pretrained, finetuned, labels = _read_inputs(args)
-    final, report = weave(
-        pretrained, finetuned, spec, space=args.lambda_range, pool_spec=pool_spec, labels=labels, threads=args.threads
-    )
+    with contextlib.ExitStack() as stack:
+        pretrained, finetuned, labels = _read_inputs(args, stack)
+        final, report = weave(
+            pretrained, finetuned, spec, space=args.lambda_range, pool_spec=pool_spec, labels=labels,
+            threads=args.threads,
+        )
     out = Path(args.out)
     write_checkpoint(final, out)
     report_path = out.with_suffix(".report.json")
-    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_text(report_path, report.to_json() + "\n")
     log.info("wrote %s and %s", out, report_path)
     return 0
 
@@ -246,8 +261,9 @@ def _cmd_analyze_best_lambda(args: argparse.Namespace) -> int:
 def _cmd_analyze_sweep(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     space = args.lambda_range or default_search_space(spec.method)
-    pretrained, finetuned, labels = _read_inputs(args)
-    paths = sweep_emit(pretrained, finetuned, spec, space, args.out_dir, labels=labels)
+    with contextlib.ExitStack() as stack:
+        pretrained, finetuned, labels = _read_inputs(args, stack)
+        paths = sweep_emit(pretrained, finetuned, spec, space, args.out_dir, labels=labels)
     for path in paths:
         print(path)
     return 0
@@ -268,7 +284,7 @@ def _emit_json(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write_text(out, text + "\n")
         log.info("wrote %s", out)
 
 

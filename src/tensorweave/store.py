@@ -10,11 +10,17 @@ The on-disk container is the common single-file checkpoint layout:
                   relative to the payload start
 
 Only F32 and F16 payloads are supported. All values are held in memory as
-float32 regardless of the stored dtype; F16 widens exactly on load. Each
-tensor is read into its own buffer, so a loaded map holds its float32
-values and no other bytes of the file. Writing
+float32 regardless of the stored dtype; F16 widens exactly on load. Writing
 the same map twice yields byte-identical files (names are serialized in
 lexicographic order with contiguous offsets from zero).
+
+Since the header fixes every offset, neither side needs more than one
+tensor at a time. The internal reader checks the whole header on open and
+reads each tensor into its own buffer when asked, so it holds one tensor's
+values at a time and a loaded map holds its float32 values and no other
+bytes of the file. The internal writer lays out the header from names,
+shapes and stored dtypes, then takes one payload at a time; it writes to a
+temporary file that replaces the target only once complete.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import struct
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -41,6 +47,7 @@ __all__ = [
 _DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
 _METADATA_KEY = "__metadata__"
 _NON_FINITE = "non-finite value (NaN or Inf)"
+_MAX_HEADER_LEN = 100_000_000  # the largest header the reference safetensors library accepts
 
 
 class CheckpointError(Exception):
@@ -168,6 +175,123 @@ def require_compatible(reference: TensorMap, candidate: TensorMap, label: str = 
             )
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """One tensor's header entry: its stored dtype, shape and payload offset."""
+
+    stored_dtype: str
+    shape: tuple[int, ...]
+    begin: int
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+class _Reader:
+    """An open checkpoint whose whole header was checked on open; tensors are read on demand.
+
+    Items are header entries (stored dtype and shape, no values). ``tensor``
+    and ``array`` read one tensor into a fresh buffer by a positional read,
+    so threads may share a reader, and nothing else of the file is held.
+    Close it, or use it as a context manager.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self._handle = open(path, "rb")
+        try:
+            self._start, self._entries, self.metadata = _parse_header(path, self._handle)
+        except BaseException:
+            self._handle.close()
+            raise
+        self.names = sorted(self._entries)
+
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def items(self) -> Iterator[tuple[str, _Entry]]:
+        return ((name, self._entries[name]) for name in self.names)
+
+    def __getitem__(self, name: str) -> _Entry:
+        return self._entries[name]
+
+    def array(self, name: str) -> np.ndarray:
+        return self.tensor(name).values
+
+    def tensor(self, name: str) -> Tensor:
+        """Tensor ``name``, read from the file now: F16 widens exactly; a NaN, an Inf or a short read is an error."""
+        entry = self._entries[name]
+        values = np.empty(entry.shape, dtype=_DTYPES[entry.stored_dtype])
+        buffer = values.reshape(-1).view(np.uint8)
+        done = 0
+        while done < buffer.size:
+            count = os.preadv(self._handle.fileno(), [buffer[done:]], self._start + entry.begin + done)
+            if count == 0:
+                raise CheckpointError(
+                    f"{self.path}: tensor {name!r}: short read: "
+                    f"the file ends after {done} of {buffer.size} payload bytes"
+                )
+            done += count
+        return Tensor(values, entry.stored_dtype, f"{self.path}: tensor {name!r}: {_NON_FINITE}")
+
+
+def _parse_header(path, handle) -> tuple[int, dict[str, _Entry], dict[str, str]]:
+    """The payload start, the entries in payload order and the metadata of an open checkpoint.
+
+    Every check but the values: the length prefix, the header JSON, each
+    entry, each span's size and bounds, and overlaps.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    if size < 8:
+        raise CheckpointError(f"{path}: malformed header: file shorter than the 8-byte length prefix")
+    (header_len,) = struct.unpack("<Q", handle.read(8))
+    if header_len > _MAX_HEADER_LEN:
+        raise CheckpointError(
+            f"{path}: malformed header: declared length {header_len} exceeds the limit of {_MAX_HEADER_LEN} bytes"
+        )
+    if 8 + header_len > size:
+        raise CheckpointError(f"{path}: malformed header: declared length {header_len} exceeds file size")
+    try:
+        text = handle.read(header_len).decode("utf-8")
+        header = json.loads(text, object_pairs_hook=lambda pairs: _unique(path, pairs))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: malformed header JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed header JSON: top level must be an object")
+
+    metadata = header.pop(_METADATA_KEY, {})
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+    ):
+        raise CheckpointError(f"{path}: malformed header: {_METADATA_KEY} must map strings to strings")
+
+    spans: list[tuple[int, int, str, str, list[int]]] = []
+    for name, entry in header.items():
+        dtype, shape, begin, end = _parse_entry(path, name, entry)
+        expected = math.prod(shape) * _DTYPES[dtype].itemsize
+        if end - begin != expected:
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: data_offsets span {end - begin} bytes, expected {expected}"
+            )
+        if 8 + header_len + end > size:
+            raise CheckpointError(f"{path}: tensor {name!r}: data_offsets out of bounds")
+        spans.append((begin, end, name, dtype, shape))
+
+    spans.sort()
+    for (b0, e0, n0, *_), (b1, e1, n1, *_) in zip(spans, spans[1:]):
+        if b1 < e0:
+            raise CheckpointError(f"{path}: tensors {n0!r} and {n1!r} have overlapping data_offsets")
+    entries = {name: _Entry(dtype, tuple(shape), begin) for begin, _, name, dtype, shape in spans}
+    return 8 + header_len, entries, metadata
+
+
 def read_checkpoint(path: str | Path) -> TensorMap:
     """Load a checkpoint file into a TensorMap.
 
@@ -175,52 +299,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
     Raises CheckpointError on malformed headers, overlapping or
     out-of-bounds offsets, unsupported dtypes, and non-finite values.
     """
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if size < 8:
-            raise CheckpointError(f"{path}: malformed header: file shorter than the 8-byte length prefix")
-        (header_len,) = struct.unpack("<Q", handle.read(8))
-        if 8 + header_len > size:
-            raise CheckpointError(f"{path}: malformed header: declared length {header_len} exceeds file size")
-        try:
-            text = handle.read(header_len).decode("utf-8")
-            header = json.loads(text, object_pairs_hook=lambda pairs: _unique(path, pairs))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: malformed header JSON: {exc}") from exc
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: malformed header JSON: top level must be an object")
-
-        metadata = header.pop(_METADATA_KEY, {})
-        if not isinstance(metadata, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-        ):
-            raise CheckpointError(f"{path}: malformed header: {_METADATA_KEY} must map strings to strings")
-
-        spans: list[tuple[int, int, str, str, list[int]]] = []
-        for name, entry in header.items():
-            dtype, shape, begin, end = _parse_entry(path, name, entry)
-            expected = math.prod(shape) * _DTYPES[dtype].itemsize
-            if end - begin != expected:
-                raise CheckpointError(
-                    f"{path}: tensor {name!r}: data_offsets span {end - begin} bytes, expected {expected}"
-                )
-            if 8 + header_len + end > size:
-                raise CheckpointError(f"{path}: tensor {name!r}: data_offsets out of bounds")
-            spans.append((begin, end, name, dtype, shape))
-
-        spans.sort()
-        for (b0, e0, n0, *_), (b1, e1, n1, *_) in zip(spans, spans[1:]):
-            if b1 < e0:
-                raise CheckpointError(f"{path}: tensors {n0!r} and {n1!r} have overlapping data_offsets")
-
-        tensors: dict[str, Tensor] = {}
-        for begin, _, name, dtype, shape in spans:
-            values = np.empty(shape, dtype=_DTYPES[dtype])
-            handle.seek(8 + header_len + begin)
-            handle.readinto(values)
-            tensors[name] = Tensor(values, dtype, f"{path}: tensor {name!r}: {_NON_FINITE}")
-
-    return TensorMap(tensors, metadata=metadata)
+    with _Reader(path) as reader:
+        return TensorMap({name: reader.tensor(name) for name in reader._entries}, metadata=reader.metadata)
 
 
 def _unique(path, pairs: list[tuple[str, object]]) -> dict:
@@ -253,6 +333,102 @@ def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:
     return dtype, shape, offsets[0], offsets[1]
 
 
+class _Replacement:
+    """A file written under a temporary name beside ``path``, as a context manager.
+
+    A clean exit moves it over ``path``; an exception removes it, so
+    ``path`` never holds a partial file and keeps what it held before.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.target = Path(path)
+        self.partial = self.target.with_name(f".{self.target.name}.{os.urandom(8).hex()}.partial")
+        self.handle = open(self.partial, "xb")
+
+    def __enter__(self) -> "_Replacement":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.handle.close()
+            if exc_type is None:
+                self._check_complete()
+                os.replace(self.partial, self.target)
+        finally:
+            self.partial.unlink(missing_ok=True)  # nothing left to remove once replaced
+
+    def _check_complete(self) -> None:
+        pass
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, replacing it only once complete."""
+    with _Replacement(path) as out:
+        out.handle.write(text.encode("utf-8"))
+
+
+class _Writer(_Replacement):
+    """A checkpoint written tensor by tensor, as a context manager.
+
+    The header is laid out on open from each entry's name, shape and
+    stored dtype, in name order, and the metadata; ``write`` then takes
+    the tensors in that order, each written straight to the file. A clean
+    exit commits the file, which must then hold every tensor.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        entries: Iterable[tuple[str, Tensor | _Entry]],
+        metadata: Mapping[str, str],
+        dtype_policy: str = "force_f32",
+    ) -> None:
+        if dtype_policy not in ("keep", "force_f32"):
+            raise ValueError(f"dtype_policy must be 'keep' or 'force_f32', got {dtype_policy!r}")
+        metadata = dict(metadata)
+        header: dict[str, object] = {}
+        self._layout: list[tuple[str, tuple[int, ...], str]] = []
+        cursor = 0
+        for name, entry in entries:
+            out_dtype = entry.stored_dtype if dtype_policy == "keep" else "F32"
+            if dtype_policy == "force_f32" and entry.stored_dtype != "F32":
+                metadata[f"dtype.{name}"] = entry.stored_dtype
+            nbytes = math.prod(entry.shape) * _DTYPES[out_dtype].itemsize
+            header[name] = {"dtype": out_dtype, "shape": list(entry.shape), "data_offsets": [cursor, cursor + nbytes]}
+            self._layout.append((name, entry.shape, out_dtype))
+            cursor += nbytes
+        if metadata:
+            header[_METADATA_KEY] = metadata
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        self._written = 0
+
+        super().__init__(path)
+        try:
+            self.handle.write(struct.pack("<Q", len(encoded)))
+            self.handle.write(encoded)
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+
+    def write(self, name: str, tensor: Tensor) -> None:
+        """Write the next tensor's payload; its name and shape must be the next of the layout."""
+        expected, shape, out_dtype = self._layout[self._written]
+        if (name, tensor.shape) != (expected, shape):
+            raise ValueError(f"expected tensor {expected!r} of shape {shape}, got {name!r} of shape {tensor.shape}")
+        payload = tensor.values
+        if out_dtype == "F16":
+            with np.errstate(over="ignore"):  # overflow checked explicitly below
+                payload = payload.astype(np.float16)
+            if not np.isfinite(payload).all():
+                raise CheckpointError(f"tensor {name!r}: value overflows F16 under dtype_policy 'keep'")
+        self.handle.write(payload)
+        self._written += 1
+
+    def _check_complete(self) -> None:
+        if self._written < len(self._layout):
+            raise ValueError(f"tensor {self._layout[self._written][0]!r} was never written")
+
+
 def write_checkpoint(
     tensor_map: TensorMap,
     path: str | Path,
@@ -266,43 +442,6 @@ def write_checkpoint(
     The bytes go to a temporary file beside ``path`` that replaces it only
     once complete, so a failed write leaves no partial checkpoint behind.
     """
-    if dtype_policy not in ("keep", "force_f32"):
-        raise ValueError(f"dtype_policy must be 'keep' or 'force_f32', got {dtype_policy!r}")
-
-    metadata = dict(tensor_map.metadata)
-    header: dict[str, object] = {}
-    payloads: list[np.ndarray] = []
-    cursor = 0
-    for name, tensor in tensor_map.items():
-        out_dtype = tensor.stored_dtype if dtype_policy == "keep" else "F32"
-        if dtype_policy == "force_f32" and tensor.stored_dtype != "F32":
-            metadata[f"dtype.{name}"] = tensor.stored_dtype
-        payload = tensor.values
-        if out_dtype == "F16":
-            with np.errstate(over="ignore"):  # overflow checked explicitly below
-                payload = payload.astype(np.float16)
-            if not np.isfinite(payload).all():
-                raise CheckpointError(f"tensor {name!r}: value overflows F16 under dtype_policy 'keep'")
-        header[name] = {
-            "dtype": out_dtype,
-            "shape": list(tensor.shape),
-            "data_offsets": [cursor, cursor + payload.nbytes],
-        }
-        payloads.append(payload)
-        cursor += payload.nbytes
-    if metadata:
-        header[_METADATA_KEY] = metadata
-
-    encoded = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    target = Path(path)
-    partial = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
-    try:
-        with open(partial, "xb") as handle:
-            handle.write(struct.pack("<Q", len(encoded)))
-            handle.write(encoded)
-            for payload in payloads:
-                handle.write(payload)
-        os.replace(partial, target)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with _Writer(path, tensor_map.items(), tensor_map.metadata, dtype_policy) as writer:
+        for name, tensor in tensor_map.items():
+            writer.write(name, tensor)

@@ -73,14 +73,14 @@ def add(base: TensorMap, delta: TensorMap) -> TensorMap:
     A sum that overflows float32 raises CheckpointError naming the tensor.
     """
     require_compatible(base, delta, label="delta")
-    with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
-        tensors = {
-            name: Tensor(
-                t.values + delta.array(name), t.stored_dtype, f"tensor {name!r}: base plus delta overflows float32"
-            )
-            for name, t in base.items()
-        }
+    tensors = {name: _rebased(name, t.values, delta.array(name), t.stored_dtype) for name, t in base.items()}
     return TensorMap(tensors, metadata=base.metadata)
+
+
+def _rebased(name: str, base: np.ndarray, delta: np.ndarray, stored_dtype: str) -> Tensor:
+    """Tensor ``name``'s base + delta, stored as the base; an overflow names the tensor."""
+    with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
+        return Tensor(base + delta, stored_dtype, f"tensor {name!r}: base plus delta overflows float32")
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ and adds the pooled delta back onto the pre-trained weights.
 ``weave`` works on one tensor at a time, from its inputs: the tensor's
 task vectors, the merge kernel's base, the members the pooling needs and
 the pooled delta are made, used and released before the next tensor.
-Only the inputs and the output are held whole as float32 models (an input
-read from disk holds its float32 values and no other file bytes, whatever
-its stored dtype). Above them, each worker thread holds a small multiple
-of (tasks + members) x the tensor in flight: its task vectors, the
-kernel's float64 base and intermediates, and one member cast at a time
-(``avg`` adds each into a float64 sum; ``magmax`` casts only the top
-member, since a member that ties it has its bits). Only ``random`` stacks
-a copy of all members.
+The output is held whole as a float32 model. The inputs' values are read
+through ``.array(name)`` only: loaded maps are held whole by the caller,
+but the CLI passes open checkpoint readers, which read each input tensor
+when it is woven, so no whole input model is held. Above the output, each
+worker thread holds a small multiple of (tasks + members) x the tensor in
+flight: its pre-trained values and task vectors (one fine-tuned tensor
+read at a time), the kernel's float64 base and intermediates, and one
+member cast at a time (``avg`` adds each into a float64 sum; ``magmax``
+casts only the top member, since a member that ties it has its bits).
+Only ``random`` stacks a copy of all members.
 """
 
 from __future__ import annotations
@@ -191,6 +193,21 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
     return TensorMap(out)
 
 
+def _tensor_sweep(
+    name: str, pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str], kernel,
+    spec: MergeSpec, space: SearchSpace,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Tensor ``name``'s sweep from the inputs: the pre-trained values, each task vector
+    (flat), the kernel's float64 base and the checked top-factor member (flat).
+
+    An overflowing member is an error, whatever uses the sweep.
+    """
+    pre = pretrained.array(name)
+    flats = [_task_delta(label, name, ft.array(name), pre).values.ravel() for label, ft in zip(labels, finetuned)]
+    base = _tensor_base(name, flats, range(1, len(flats) + 1), kernel, spec)
+    return pre, flats, base, _member(name, space.lambdas, base).values
+
+
 def weave(
     pretrained: TensorMap,
     finetuned: Sequence[TensorMap],
@@ -207,6 +224,9 @@ def weave(
     according to ``pool_spec``, and returns pretrained + pooled delta
     along with a run report. ``threads`` workers (at least 1) weave
     tensors in parallel; the output does not depend on their number.
+    Inputs are read by tensor name (``names``, ``metadata``, ``[name]``
+    for the shape and stored dtype, ``.array(name)`` for the values), one
+    tensor at a time, so an open checkpoint reader serves as an input.
     """
     started = time.perf_counter()
     if not finetuned:
@@ -215,15 +235,10 @@ def weave(
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
     labels = _task_labels(pretrained, finetuned, labels)
-    indices = range(1, len(finetuned) + 1)
     n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
 
     def weave_one(name: str) -> tuple[str, Tensor]:
-        pre = pretrained[name]
-        flats = [_task_delta(label, name, ft.array(name), pre.values).values.ravel()
-                 for label, ft in zip(labels, finetuned)]
-        base = _tensor_base(name, flats, indices, kernel, spec_template)
-        top = _member(name, space.lambdas, base).values  # an overflowing member is an error, whatever the pooling
+        pre, flats, base, top = _tensor_sweep(name, pretrained, finetuned, labels, kernel, spec_template, space)
         # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member
         # that ties the top one has its bits: magmax pooling needs no other member
         if pool_spec.pooling == "magmax":
@@ -233,9 +248,9 @@ def weave(
         raw = flats if pool_spec.include_deltas else []
         pooled = _pool_flat(name, itertools.chain(raw, sweep), n_members, pool_spec.pooling, pool_spec.seed)
         with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports
-            rebased = pre.values + pooled.reshape(pre.shape)
+            rebased = pre + pooled.reshape(pre.shape)
         error = f"tensor {name!r}: pre-trained plus pooled delta overflows float32"
-        return name, Tensor(rebased, pre.stored_dtype, error)
+        return name, Tensor(rebased, pretrained[name].stored_dtype, error)
 
     names = pretrained.names
     with ThreadPoolExecutor(max_workers=threads) as executor:  # the executor rejects threads < 1

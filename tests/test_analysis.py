@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tensorweave import (
@@ -8,12 +10,14 @@ from tensorweave import (
     CsvFormatError,
     MergeSpec,
     SearchSpace,
+    TensorMap,
     add,
     best_lambda_histogram,
     compute_deltas,
     read_checkpoint,
     registry_lookup,
     sweep_emit,
+    task_arithmetic,
 )
 
 from .conftest import FIXTURES, random_instance
@@ -171,3 +175,33 @@ def test_sweep_emit_empty_space_errors(tmp_path, rng):
     pre, finetuned = random_instance(rng, 1)
     with pytest.raises(ValueError):
         sweep_emit(pre, finetuned, MergeSpec("task_arithmetic"), SearchSpace(()), tmp_path)
+
+
+def test_sweep_emit_memory_does_not_grow_with_the_factors(tmp_path):
+    # the bound of the sweep_emit docstring: every factor's file is filled tensor by tensor, so above
+    # its inputs the sweep holds (tasks + a few) x the tensor in flight, whatever the number of factors;
+    # members held for the whole model would add factors x the model (20 x 6 large tensors here)
+    gen = np.random.default_rng(11)
+    shapes = [(256, 256)] * 6 + [(7,), ()]
+    n_tasks = 3
+
+    def model():
+        return TensorMap({f"t{i}": gen.normal(size=shape).astype(np.float32) for i, shape in enumerate(shapes)})
+
+    pre, finetuned = model(), [model() for _ in range(n_tasks)]
+    largest = 256 * 256 * 4
+    peaks = {}
+    for count in (2, 20):
+        space = SearchSpace(tuple(0.05 * (i + 1) for i in range(count)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sweep_emit(pre, finetuned, MergeSpec("task_arithmetic"), space, tmp_path / str(count))
+            peaks[count] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peaks[20] <= peaks[2] + 2 * largest  # a member and its successor overlap, and each file has a buffer
+    assert peaks[20] <= (n_tasks + 8) * largest
+    loaded = read_checkpoint(tmp_path / "20" / "task_arithmetic_lambda1.0.safetensors")
+    expected = add(pre, task_arithmetic(compute_deltas(pre, finetuned), MergeSpec("task_arithmetic")))
+    assert loaded == expected

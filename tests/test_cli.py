@@ -1,6 +1,8 @@
+import builtins
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -18,6 +20,7 @@ from tensorweave import (
     compute_deltas,
     read_checkpoint,
     registry_lookup,
+    store,
     weave,
     write_checkpoint,
 )
@@ -467,6 +470,85 @@ def test_analyze_sweep_writes_files(tmp_path):
         "task_arithmetic_lambda1.0.safetensors",
     ]
     assert (out / "manifest.json").exists()
+
+
+def _nan_in_last_tensor(path):
+    """Set the last payload value of a checkpoint written by ``write_checkpoint`` (name order) to NaN."""
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("fault", ["nan", "rebase"])
+def test_analyze_sweep_fault_in_a_late_tensor_writes_no_file(tmp_path, capsys, fault):
+    # every factor's file is filled tensor by tensor, so the fault shows only at the last tensor 'z';
+    # by then each file holds 'a', yet none may replace a target, and the manifest is not written
+    # rebase: task vectors of 4e37 sum to 8e37, so 3e38 + lam x 8e37 overflows at lambda 1.0, not 0.5
+    big = 3e38 if fault == "rebase" else 0.0
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"a": np.zeros(4, dtype=np.float32), "z": np.full(3, big, dtype=np.float32)}), pre)
+    tasks = [tmp_path / f"task{i}.safetensors" for i in range(2)]
+    for path in tasks:
+        write_checkpoint(
+            TensorMap({"a": np.ones(4, dtype=np.float32), "z": np.full(3, big + 4e37, dtype=np.float32)}), path
+        )
+    if fault == "nan":
+        _nan_in_last_tensor(tasks[-1])
+    out = tmp_path / "sweep"
+    out.mkdir()
+    kept = out / "task_arithmetic_lambda0.5.safetensors"
+    kept.write_bytes(b"from an earlier sweep")
+    code = run(
+        "analyze", "sweep", "--method", "task_arithmetic", "--lambda-range", "[0.5, 1.0]",
+        "--pretrained", pre, "--out-dir", out, *tasks,
+    )
+    assert code == 1
+    expected = {
+        "nan": f"{tasks[-1]}: tensor 'z': non-finite value (NaN or Inf)",
+        "rebase": "tensor 'z': base plus delta overflows float32",
+    }[fault]
+    assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+    assert [p.name for p in out.iterdir()] == [kept.name]
+    assert kept.read_bytes() == b"from an earlier sweep"
+
+
+@pytest.mark.parametrize("command", ["weave", "analyze sweep", "analyze best-lambda"])
+def test_failed_json_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "weave":
+        argv = ("weave", "--method", "task_arithmetic", "--pretrained", PRE, "--out", out / "w.safetensors", CARS)
+        target = out / "w.report.json"
+    elif command == "analyze sweep":
+        argv = ("analyze", "sweep", "--method", "task_arithmetic", "--lambda-range", "[0.5]",
+                "--pretrained", PRE, "--out-dir", out, CARS)
+        target = out / "manifest.json"
+    else:
+        csv = tmp_path / "acc.csv"
+        csv.write_text("task,lambda,accuracy\na,0.5,0.7\n")
+        argv = ("analyze", "best-lambda", "--csv", csv, "--out", out / "hist.json")
+        target = out / "hist.json"
+    target.write_text("previous\n")
+
+    class FailingWrite:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, data):
+            raise OSError("No space left on device")
+
+        def close(self):
+            self.handle.close()
+
+    def open_failing_json(path, *args, **kwargs):
+        handle = builtins.open(path, *args, **kwargs)
+        return FailingWrite(handle) if ".json." in Path(path).name else handle
+
+    monkeypatch.setattr(store, "open", open_failing_json, raising=False)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: No space left on device"]
+    assert target.read_text() == "previous\n"
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".partial")]
 
 
 def test_inspect_lists_tensors(capsys):

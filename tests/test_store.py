@@ -1,5 +1,6 @@
 import builtins
 import json
+import os
 import struct
 import tracemalloc
 
@@ -383,10 +384,7 @@ def test_failed_write_leaves_existing_target_intact(tmp_path, monkeypatch):
         def __init__(self, handle):
             self.handle, self.writes = handle, 0
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
+        def close(self):  # the writer closes its handle itself, outside a with statement
             self.handle.close()
 
         def write(self, data):
@@ -401,3 +399,72 @@ def test_failed_write_leaves_existing_target_intact(tmp_path, monkeypatch):
         write_checkpoint(replacement, target)
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.safetensors"]
+
+
+def test_header_length_above_the_limit_is_rejected_before_reading(tmp_path):
+    # a sparse file that holds the declared header length, so only the limit can reject it
+    target = tmp_path / "huge.safetensors"
+    declared = 100_000_001
+    with open(target, "wb") as handle:
+        handle.write(struct.pack("<Q", declared))
+        handle.truncate(8 + declared)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as caught:
+            read_checkpoint(target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (
+        f"{target}: malformed header: declared length {declared} exceeds the limit of 100000000 bytes"
+    )
+    assert peak < 1 << 20
+
+
+def test_reader_reads_each_tensor_as_the_loaded_map():
+    path = FIXTURES / "task_half.safetensors"
+    loaded = read_checkpoint(path)
+    with store._Reader(path) as reader:
+        assert reader.names == loaded.names
+        assert reader.metadata == loaded.metadata
+        for name, entry in reader.items():
+            assert (entry.shape, entry.stored_dtype, entry.size) == (loaded[name].shape, loaded[name].stored_dtype,
+                                                                      loaded[name].size)
+            values = reader.array(name)
+            assert values.dtype == np.float32 and not values.flags.writeable
+            assert values.tobytes() == loaded.array(name).tobytes()
+
+
+def test_reader_checks_values_only_when_a_tensor_is_read(tmp_path):
+    target = tmp_path / "nan.safetensors"
+    payload = struct.pack("<3f", 1.0, 2.0, float("nan"))
+    build_file(target, {"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+                        "b": {"dtype": "F32", "shape": [1], "data_offsets": [8, 12]}}, payload)
+    with store._Reader(target) as reader:
+        assert reader.array("a").tolist() == [1.0, 2.0]
+        with pytest.raises(CheckpointError) as caught:
+            reader.array("b")
+    assert str(caught.value) == f"{target}: tensor 'b': non-finite value (NaN or Inf)"
+
+
+def test_reader_of_a_file_truncated_after_opening_names_file_and_tensor(tmp_path):
+    target = tmp_path / "cut.safetensors"
+    write_checkpoint(TensorMap({"a": np.ones(4, dtype=np.float32), "b": np.ones(1000, dtype=np.float32)}), target)
+    with store._Reader(target) as reader:
+        os.truncate(target, target.stat().st_size - 8)
+        assert reader.array("a").tolist() == [1.0] * 4
+        with pytest.raises(CheckpointError) as caught:
+            reader.array("b")
+    assert str(caught.value) == f"{target}: tensor 'b': short read: the file ends after 3992 of 4000 payload bytes"
+
+
+def test_writer_commits_only_a_complete_file(tmp_path):
+    target = tmp_path / "w.safetensors"
+    tensors = TensorMap({"a": np.ones(2, dtype=np.float32), "b": np.ones(3, dtype=np.float32)})
+    with pytest.raises(ValueError, match="expected tensor 'a'"):
+        with store._Writer(target, tensors.items(), {}) as writer:
+            writer.write("b", tensors["b"])
+    with pytest.raises(ValueError, match="tensor 'b' was never written"):
+        with store._Writer(target, tensors.items(), {}) as writer:
+            writer.write("a", tensors["a"])
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import contextlib
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -17,9 +19,12 @@ from tensorweave import (
     default_search_space,
     magmax,
     pool,
+    read_checkpoint,
     registry_lookup,
+    store,
     task_arithmetic,
     weave,
+    write_checkpoint,
 )
 
 from .conftest import as_task_vectors, map_to_lists, random_instance, random_map
@@ -526,3 +531,53 @@ def test_weave_added_memory_is_the_output_plus_tensors_in_flight(pooling, thread
     finally:
         tracemalloc.stop()
     assert added_peak <= allowance
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
+def test_weave_over_readers_holds_no_whole_input_model(tmp_path, pooling, threads):
+    # the CLI passes open checkpoint readers, which read each input tensor when it is woven: weave then
+    # adds no more than the output and the tensors in flight, with no allowance for the inputs, which
+    # held whole would take (1 + tasks) x the model (5 x 64 tensors here), beyond the allowance
+    gen = np.random.default_rng(5)
+    shape, n_tensors, n_tasks = (128, 128), 64, 4
+    paths = [tmp_path / f"m{i}.safetensors" for i in range(1 + n_tasks)]
+    for path in paths:
+        write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32)
+                                    for i in range(n_tensors)}), path)
+    spec, space = MergeSpec("ties", params={"keep_fraction": 0.5}), default_search_space("ties")
+    tensor_bytes = shape[0] * shape[1] * 4
+    allowance = (n_tensors + threads * 4 * (n_tasks + len(space.lambdas))) * tensor_bytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with contextlib.ExitStack() as stack:
+            pre, *finetuned = (stack.enter_context(store._Reader(path)) for path in paths)
+            woven, _ = weave(pre, finetuned, spec, space=space, pool_spec=PoolSpec(pooling=pooling), threads=threads)
+        added_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert added_peak <= allowance
+    loaded = [read_checkpoint(path) for path in paths]
+    assert woven == weave(loaded[0], loaded[1:], spec, space=space, pool_spec=PoolSpec(pooling=pooling))[0]
+
+
+def test_weave_threads_share_readers_under_frequent_switching(tmp_path):
+    # worker threads share each input reader; its reads are positional, so no thread moves the file
+    # offset another thread reads from, however often the interpreter switches between them
+    gen = np.random.default_rng(9)
+    paths = [tmp_path / f"m{i}.safetensors" for i in range(4)]
+    for path in paths:
+        write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=(33, 17)).astype(np.float32)
+                                    for i in range(48)}), path)
+    spec, space = MergeSpec("task_arithmetic"), SearchSpace((0.5, 1.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with contextlib.ExitStack() as stack:
+            pre, *finetuned = (stack.enter_context(store._Reader(path)) for path in paths)
+            woven, _ = weave(pre, finetuned, spec, space=space, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    loaded = [read_checkpoint(path) for path in paths]
+    assert woven == weave(loaded[0], loaded[1:], spec, space=space)[0]
