@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .methods import MergeSpec, _method, _scaled
+from .methods import MergeSpec
 from .store import TensorMap, _write_text, _Writer
 from .vectors import _rebased, _task_labels
 from .weave import SearchSpace, _tensor_sweep
@@ -44,18 +43,12 @@ class AccuracyTable:
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("accuracy table must not be empty")
-        seen = set()
-        for task, lam, acc in self.rows:
-            if (task, lam) in seen:
-                raise ValueError(f"duplicate (task, lambda) pair: ({task!r}, {lam})")
-            seen.add((task, lam))
-            if not (math.isfinite(lam) and math.isfinite(acc)):
-                raise ValueError(f"non-finite value in row ({task!r}, {lam}, {acc})")
+        _check_rows(self.rows, lambda pos: f"row {pos + 1}")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AccuracyTable":
         rows: list[tuple[str, float, float]] = []
-        seen: dict[tuple[str, float], int] = {}
+        lines: list[int] = []
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -73,18 +66,26 @@ class AccuracyTable:
                     lam, acc = float(row[1]), float(row[2])
                 except ValueError:
                     raise CsvFormatError(f"{path}: line {lineno}: non-numeric lambda or accuracy") from None
-                if not (math.isfinite(lam) and math.isfinite(acc)):
-                    raise CsvFormatError(f"{path}: line {lineno}: non-finite lambda or accuracy")
-                if (task, lam) in seen:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: duplicate (task, lambda) pair "
-                        f"({task!r}, {row[1].strip()}), first seen on line {seen[(task, lam)]}"
-                    )
-                seen[(task, lam)] = lineno
                 rows.append((task, lam, acc))
+                lines.append(lineno)
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
+        try:
+            _check_rows(rows, lambda pos: f"line {lines[pos]}")
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}: {exc}") from None
         return cls(tuple(rows))
+
+
+def _check_rows(rows: Sequence[tuple[str, float, float]], where: Callable[[int], str]) -> None:
+    """Raise ValueError, naming the row at ``pos`` by ``where(pos)``, at the first non-finite or repeated row."""
+    first: dict[tuple[str, float], int] = {}
+    for pos, (task, lam, acc) in enumerate(rows):
+        if not (math.isfinite(lam) and math.isfinite(acc)):
+            raise ValueError(f"{where(pos)}: non-finite lambda or accuracy")
+        if first.setdefault((task, lam), pos) != pos:
+            seen = where(first[(task, lam)])
+            raise ValueError(f"{where(pos)}: duplicate (task, lambda) pair ({task!r}, {lam}), first seen on {seen}")
 
 
 @dataclass(frozen=True)
@@ -140,26 +141,12 @@ def sweep_emit(
     above its inputs (nothing, for the CLI's checkpoint readers) a sweep
     holds O(tasks x largest tensor), plus one open file per factor. The
     files replace their targets only once every tensor is written: an
-    error, named for the first faulty tensor, leaves no new file behind.
+    error, named for the first faulty tensor, leaves no new file or manifest.
     """
-    if not finetuned:
-        raise ValueError("merge needs at least one task vector")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kernel = _method(spec_template.method).kernel
-    labels = _task_labels(pretrained, finetuned, labels)
     files = [f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
-
-    with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
-        writers = [stack.enter_context(_Writer(out_dir / file, pretrained.items(), pretrained.metadata))
-                   for file in files]
-        for name, entry in pretrained.items():
-            pre, flats, base, top = _tensor_sweep(name, pretrained, finetuned, labels, kernel, spec_template, space)
-            members = itertools.chain((_scaled(lam, base) for lam in space.lambdas[:-1]), [top])
-            for writer, member in zip(writers, members):
-                writer.write(name, _rebased(name, pre, member.reshape(pre.shape), entry.stored_dtype))
-            del pre, flats, base, top, members, member  # before the next tensor's sweep runs
-
+    _write_sweep(pretrained, finetuned, spec_template, space, [out_dir / file for file in files], labels)
     manifest = {
         "spec": spec_template.to_json_dict(),
         "lambdas": list(space.lambdas),
@@ -167,3 +154,16 @@ def sweep_emit(
     }
     _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return [out_dir / file for file in files]
+
+
+def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: MergeSpec, space: SearchSpace,
+                 paths: Sequence[str | Path], labels: Sequence[str] | None = None) -> None:
+    """``sweep_emit`` without the manifest: pretrained + merge(deltas, lam) at each factor, written to ``paths``."""
+    labels = _task_labels(pretrained, finetuned, labels)
+    with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
+        writers = [stack.enter_context(_Writer(path, pretrained.items(), pretrained.metadata)) for path in paths]
+        for name, entry in pretrained.items():
+            pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec, space)
+            for writer, member in zip(writers, members):
+                writer.write(name, _rebased(name, pre, member.reshape(pre.shape), entry.stored_dtype))
+            del pre, flats, top, members, member  # before the next tensor's sweep runs

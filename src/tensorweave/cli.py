@@ -1,7 +1,10 @@
 """Command-line surface: deltas, merge, weave, analyze, inspect.
 
 Every command is a thin shim over the library; outputs are bitwise equal
-to direct library calls. Logs go to stderr, data to files or stdout.
+to direct library calls. The commands that write a model read each input
+tensor when they need it; ``merge`` is a one-factor sweep, writing the file
+``analyze sweep`` writes for its lambda. Logs go to stderr, data to files
+or stdout.
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage or validation
 error.
 """
@@ -15,18 +18,17 @@ import logging
 import sys
 from pathlib import Path
 
-from .analysis import AccuracyTable, best_lambda_histogram, sweep_emit
-from .methods import _REGISTRY, MergeSpec, available_methods, registry_lookup
+from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_emit
+from .methods import _REGISTRY, MergeSpec, available_methods
 from .store import (
     CheckpointError,
     FingerprintMismatch,
-    TensorMap,
     _Reader,
     _write_text,
     read_checkpoint,
     write_checkpoint,
 )
-from .vectors import TaskVector, add, compute_deltas, cosine_matrix
+from .vectors import TaskVector, compute_deltas, cosine_matrix
 from .weave import PoolSpec, SearchSpace, default_search_space, weave
 
 log = logging.getLogger("tensorweave")
@@ -172,32 +174,30 @@ def _merge_spec(args: argparse.Namespace) -> MergeSpec:
 
 
 def _read_inputs(
-    args: argparse.Namespace, stack: contextlib.ExitStack | None = None
-) -> tuple[TensorMap, list[TensorMap], list[str]]:
+    args: argparse.Namespace, stack: contextlib.ExitStack
+) -> tuple[_Reader, list[_Reader], list[str]]:
     """The pre-trained and fine-tuned checkpoints, and the task labels (file stems).
 
-    Each checkpoint is loaded whole; with ``stack``, it is instead an open
-    reader, closed with the stack, that reads each tensor when asked.
+    Each checkpoint is an open reader, closed with ``stack``, whose header
+    is checked now and whose tensors are read when asked.
     """
-    def load(path: str) -> TensorMap:
-        return read_checkpoint(path) if stack is None else stack.enter_context(_Reader(path))
-
     log.info("reading pre-trained checkpoint %s", args.pretrained)
-    pretrained = load(args.pretrained)
+    pretrained = stack.enter_context(_Reader(args.pretrained))
     finetuned, labels = [], []
     for path in args.finetuned:
         log.info("reading fine-tuned checkpoint %s", path)
-        finetuned.append(load(path))
+        finetuned.append(stack.enter_context(_Reader(path)))
         labels.append(Path(path).stem)
     return pretrained, finetuned, labels
 
 
 def _cmd_deltas(args: argparse.Namespace) -> int:
-    pretrained, finetuned, labels = _read_inputs(args)
+    with contextlib.ExitStack() as stack:
+        vectors = compute_deltas(*_read_inputs(args, stack))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
-    for vector in compute_deltas(pretrained, finetuned, labels=labels):
+    for vector in vectors:
         stem = vector.source_name
         while stem in used:
             stem = f"{stem}_{vector.index}"
@@ -210,10 +210,9 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
-    pretrained, finetuned, labels = _read_inputs(args)
-    deltas = compute_deltas(pretrained, finetuned, labels=labels)
-    merged = registry_lookup(spec.method)(deltas, spec)
-    write_checkpoint(add(pretrained, merged), args.out)
+    with contextlib.ExitStack() as stack:
+        pretrained, finetuned, labels = _read_inputs(args, stack)
+        _write_sweep(pretrained, finetuned, spec, SearchSpace((spec.lam,)), [args.out], labels)
     log.info("wrote %s", args.out)
     return 0
 

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .rng import stream_key, uniform01
-from .store import CheckpointError, Tensor, TensorMap, require_compatible
-from .vectors import TaskVector
+from .store import CheckpointError, Tensor, TensorMap
+from .vectors import TaskVector, _check_deltas
 
 __all__ = [
     "MergeSpec",
@@ -70,13 +70,6 @@ class MergeSpec:
 
     def to_json_dict(self) -> dict:
         return {"method": self.method, "lambda": self.lam, "params": dict(self.params), "seed": self.seed}
-
-
-def _check_deltas(deltas: Sequence[TaskVector]) -> None:
-    if not deltas:
-        raise ValueError("merge needs at least one task vector")
-    for pos, tv in enumerate(deltas[1:], start=2):
-        require_compatible(deltas[0].delta, tv.delta, label=f"task vector {pos}")
 
 
 def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
@@ -130,7 +123,7 @@ def _member(name: str, lambdas: Sequence[float], base: np.ndarray) -> Tensor:
 def _member_maps(deltas: Sequence[TaskVector], kernel: _BaseKernel, spec: MergeSpec,
                  lambdas: Sequence[float]) -> list[TensorMap]:
     """The merged delta map at each factor in ``lambdas``, in order; the base is computed once per tensor."""
-    _check_deltas(deltas)
+    _check_deltas(deltas, "merge")
     indices = [tv.index for tv in deltas]
     per_tensor = {}
     for name, tensor in deltas[0].delta.items():

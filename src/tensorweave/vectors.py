@@ -39,23 +39,36 @@ def compute_deltas(
 ) -> list[TaskVector]:
     """Elementwise finetuned - pretrained for each checkpoint, in order.
 
+    Inputs are read by ``.array(name)`` only, so checkpoint readers serve.
     A difference that overflows float32 raises CheckpointError naming the
     checkpoint's label and the tensor.
     """
-    out = []
-    for pos, (label, candidate) in enumerate(zip(_task_labels(pretrained, finetuned, labels), finetuned)):
-        tensors = {name: _task_delta(label, name, candidate.array(name), t.values) for name, t in pretrained.items()}
-        out.append(TaskVector(TensorMap(tensors), source_name=label, index=pos + 1))
-    return out
+    labels = _task_labels(pretrained, finetuned, labels)
+    tensors = [{} for _ in finetuned]
+    for name in pretrained.names:
+        pre = pretrained.array(name)
+        for label, candidate, out in zip(labels, finetuned, tensors):
+            out[name] = _task_delta(label, name, candidate.array(name), pre)
+    return [TaskVector(TensorMap(t), label, pos) for pos, (label, t) in enumerate(zip(labels, tensors), start=1)]
 
 
 def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str] | None) -> list[str]:
     """Each checkpoint's label (``task<i>`` when ``labels`` is None), once every checkpoint matches ``pretrained``."""
+    if not finetuned:
+        raise ValueError("need at least one fine-tuned checkpoint")
     if labels is not None and len(labels) != len(finetuned):
         raise ValueError(f"got {len(labels)} labels for {len(finetuned)} checkpoints")
     for pos, candidate in enumerate(finetuned):
         require_compatible(pretrained, candidate, label=f"fine-tuned checkpoint {pos + 1}")
     return list(labels) if labels is not None else [f"task{pos + 1}" for pos in range(len(finetuned))]
+
+
+def _check_deltas(deltas: Sequence[TaskVector], caller: str) -> None:
+    """Raise unless there is a task vector and every one matches the first; the message names ``caller``."""
+    if not deltas:
+        raise ValueError(f"{caller} needs at least one task vector")
+    for pos, tv in enumerate(deltas[1:], start=2):
+        require_compatible(deltas[0].delta, tv.delta, label=f"task vector {pos}")
 
 
 def _task_delta(label: str, name: str, finetuned: np.ndarray, pretrained: np.ndarray) -> Tensor:
@@ -104,12 +117,7 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
     A zero vector has similarity 0 with everything; its diagonal entry is
     defined as 1.
     """
-    if not vectors:
-        raise ValueError("cosine_matrix needs at least one task vector")
-    first = vectors[0].delta
-    for pos, tv in enumerate(vectors[1:], start=2):
-        require_compatible(first, tv.delta, label=f"task vector {pos}")
-
+    _check_deltas(vectors, "cosine_matrix")
     flats = [
         np.concatenate([tv.delta.array(name).ravel() for name in tv.delta] or [np.zeros(0)]).astype(
             np.float64

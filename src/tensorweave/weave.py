@@ -29,7 +29,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,18 +194,19 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
 
 
 def _tensor_sweep(
-    name: str, pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str], kernel,
-    spec: MergeSpec, space: SearchSpace,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
-    """Tensor ``name``'s sweep from the inputs: the pre-trained values, each task vector
-    (flat), the kernel's float64 base and the checked top-factor member (flat).
+    name: str, pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str], spec: MergeSpec,
+    space: SearchSpace,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, Iterator[np.ndarray]]:
+    """Tensor ``name``'s sweep from the inputs: the pre-trained values, each task vector (flat),
+    the checked top-factor member and every member in sweep order, each cast when reached (flat).
 
     An overflowing member is an error, whatever uses the sweep.
     """
     pre = pretrained.array(name)
     flats = [_task_delta(label, name, ft.array(name), pre).values.ravel() for label, ft in zip(labels, finetuned)]
-    base = _tensor_base(name, flats, range(1, len(flats) + 1), kernel, spec)
-    return pre, flats, base, _member(name, space.lambdas, base).values
+    base = _tensor_base(name, flats, range(1, len(flats) + 1), _method(spec.method).kernel, spec)
+    top = _member(name, space.lambdas, base).values
+    return pre, flats, top, itertools.chain((_scaled(lam, base) for lam in space.lambdas[:-1]), [top])
 
 
 def weave(
@@ -229,22 +230,16 @@ def weave(
     tensor at a time, so an open checkpoint reader serves as an input.
     """
     started = time.perf_counter()
-    if not finetuned:
-        raise ValueError("weave needs at least one fine-tuned checkpoint")
-    kernel = _method(spec_template.method).kernel
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
     labels = _task_labels(pretrained, finetuned, labels)
     n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
 
     def weave_one(name: str) -> tuple[str, Tensor]:
-        pre, flats, base, top = _tensor_sweep(name, pretrained, finetuned, labels, kernel, spec_template, space)
+        pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
         # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member
         # that ties the top one has its bits: magmax pooling needs no other member
-        if pool_spec.pooling == "magmax":
-            sweep = [top]
-        else:  # cast one member at a time, in sweep order
-            sweep = itertools.chain((_scaled(lam, base) for lam in space.lambdas[:-1]), [top])
+        sweep = [top] if pool_spec.pooling == "magmax" else members
         raw = flats if pool_spec.include_deltas else []
         pooled = _pool_flat(name, itertools.chain(raw, sweep), n_members, pool_spec.pooling, pool_spec.seed)
         with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports

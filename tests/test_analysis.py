@@ -92,6 +92,10 @@ def test_table_rejects_duplicates_and_empty():
         table_from([("a", 0.5, 0.1), ("a", 0.5, 0.2)])
     with pytest.raises(ValueError, match="empty"):
         table_from([])
+    with pytest.raises(ValueError, match="row 3: duplicate .* first seen on row 1$"):
+        table_from([("a", 0.5, 0.1), ("b", 0.5, 0.2), ("a", 0.5, 0.3)])
+    with pytest.raises(ValueError, match="row 2: non-finite"):
+        table_from([("a", 0.5, 0.1), ("a", 1.0, float("nan"))])
 
 
 def test_csv_round_trip(tmp_path):
@@ -105,6 +109,13 @@ def test_csv_duplicate_names_line(tmp_path):
     target = tmp_path / "dup.csv"
     target.write_text("task,lambda,accuracy\na,0.5,0.1\na,0.5,0.2\n")
     with pytest.raises(CsvFormatError, match="line 3"):
+        AccuracyTable.from_csv(target)
+    # rows are named by their line in the file, blank lines included
+    target.write_text("task,lambda,accuracy\na,0.5,0.1\n\nb,0.5,0.2\na,0.5,0.3\n")
+    with pytest.raises(CsvFormatError, match="line 5: duplicate .* first seen on line 2$"):
+        AccuracyTable.from_csv(target)
+    target.write_text("task,lambda,accuracy\na,0.5,0.1\n\na,1.0,inf\n")
+    with pytest.raises(CsvFormatError, match="line 4: non-finite lambda or accuracy$"):
         AccuracyTable.from_csv(target)
 
 
@@ -175,6 +186,12 @@ def test_sweep_emit_empty_space_errors(tmp_path, rng):
     pre, finetuned = random_instance(rng, 1)
     with pytest.raises(ValueError):
         sweep_emit(pre, finetuned, MergeSpec("task_arithmetic"), SearchSpace(()), tmp_path)
+
+
+def test_sweep_emit_requires_a_finetuned_checkpoint(tmp_path, rng):
+    pre, _ = random_instance(rng, 1)
+    with pytest.raises(ValueError, match="at least one fine-tuned checkpoint"):
+        sweep_emit(pre, [], MergeSpec("task_arithmetic"), SearchSpace((1.0,)), tmp_path)
 
 
 def test_sweep_emit_memory_does_not_grow_with_the_factors(tmp_path):

@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -649,3 +650,59 @@ def test_help_matches_golden():
     # after an intended change, from the repository root:
     # python -c "from tests.test_cli import *; HELP_GOLDEN.write_text(cli_help_text())"
     assert cli_help_text() == HELP_GOLDEN.read_text(encoding="utf-8")
+
+
+MERGE_PARAMS = {
+    "task_arithmetic": (),
+    "dare": ("--drop-rate", "0.3", "--seed", "7"),
+    "ties": ("--keep-fraction", "0.4"),
+    "breadcrumbs": ("--beta", "0.1", "--gamma", "0.05"),
+    "magmax": (),
+}
+
+
+@pytest.mark.parametrize("half_role", ["task", "pretrained"])
+@pytest.mark.parametrize("method", sorted(MERGE_PARAMS))
+def test_merge_writes_the_sweep_file_of_its_lambda(tmp_path, method, half_role):
+    # merge is a one-factor sweep; task_half holds an F16 tensor, which widens on read as a task and,
+    # as the pre-trained model, makes both outputs record its stored dtype under dtype.*
+    inputs = ("--pretrained", PRE, CARS, MNIST, HALF) if half_role == "task" else ("--pretrained", HALF, PRE, CARS)
+    merged = tmp_path / "merged.safetensors"
+    assert run("merge", "--method", method, "--lambda", "0.7", *MERGE_PARAMS[method], "--out", merged, *inputs) == 0
+    sweep = tmp_path / "sweep"
+    code = run(
+        "analyze", "sweep", "--method", method, "--lambda-range", "[0.7]", *MERGE_PARAMS[method],
+        "--out-dir", sweep, *inputs,
+    )
+    assert code == 0
+    assert merged.read_bytes() == (sweep / f"{method}_lambda0.7.safetensors").read_bytes()
+    assert ("dtype.head.weight" in read_checkpoint(merged).metadata) == (half_role == "pretrained")
+
+
+@pytest.mark.parametrize("command", ["merge", "deltas"])
+def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
+    # merge holds a small multiple of (tasks + 1) x the tensor in flight; deltas holds its outputs, the
+    # task vectors, whole, but reads its inputs tensor by tensor; loaded whole, the inputs alone would
+    # take (1 + tasks) x the model (4 x 16 tensors here), beyond either allowance
+    gen = np.random.default_rng(3)
+    shape, n_tensors, n_tasks = (256, 256), 16, 3
+    paths = [tmp_path / f"m{i}.safetensors" for i in range(1 + n_tasks)]
+    for path in paths:
+        write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32)
+                                    for i in range(n_tensors)}), path)
+    tensor_bytes = shape[0] * shape[1] * 4
+    if command == "merge":
+        argv = ("merge", "--method", "ties", "--keep-fraction", "0.5", "--out", tmp_path / "out.safetensors")
+        allowance = 5 * (n_tasks + 1) * tensor_bytes
+    else:
+        argv = ("deltas", "--out-dir", tmp_path / "deltas")
+        allowance = (n_tasks * n_tensors + n_tasks + 4) * tensor_bytes
+    assert allowance < (1 + n_tasks) * n_tensors * tensor_bytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run(*argv, "--pretrained", paths[0], *paths[1:]) == 0
+        added_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert added_peak <= allowance

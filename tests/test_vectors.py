@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -13,9 +14,11 @@ from tensorweave import (
     add,
     compute_deltas,
     cosine_matrix,
+    read_checkpoint,
+    store,
 )
 
-from .conftest import as_task_vectors, random_instance, random_map
+from .conftest import FIXTURES, as_task_vectors, random_instance, random_map
 
 
 def tmap(**tensors):
@@ -43,6 +46,30 @@ def test_compute_deltas_matches_per_element_oracle(rng):
     for p in range(1000):
         expected = np.float32(ft.array("w")[p]) - np.float32(pre.array("w")[p])
         assert delta.delta.array("w")[p] == expected
+
+
+def test_compute_deltas_over_readers_equals_over_loaded_maps():
+    # the CLI passes open readers, which read each tensor on demand; task_half's F16 tensor widens on read
+    paths = [FIXTURES / f"{name}.safetensors" for name in ("pretrained", "task_cars", "task_half", "task_mnist")]
+    loaded = compute_deltas(read_checkpoint(paths[0]), [read_checkpoint(p) for p in paths[1:]], labels=["a", "b", "c"])
+    with contextlib.ExitStack() as stack:
+        pre, *finetuned = (stack.enter_context(store._Reader(path)) for path in paths)
+        streamed = compute_deltas(pre, finetuned, labels=["a", "b", "c"])
+    assert [(tv.source_name, tv.index) for tv in streamed] == [("a", 1), ("b", 2), ("c", 3)]
+    assert streamed == loaded
+
+
+def test_compute_deltas_requires_a_finetuned_checkpoint():
+    with pytest.raises(ValueError, match="at least one fine-tuned checkpoint"):
+        compute_deltas(tmap(w=[1.0]), [])
+
+
+def test_cosine_matrix_names_the_mismatched_task_vector():
+    vectors = [TaskVector(tmap(w=[1.0]), "a", 1), TaskVector(tmap(w=[1.0]), "b", 2), TaskVector(tmap(v=[1.0]), "c", 3)]
+    with pytest.raises(FingerprintMismatch, match="task vector 3: missing tensor 'w'"):
+        cosine_matrix(vectors)
+    with pytest.raises(ValueError, match="cosine_matrix needs at least one task vector"):
+        cosine_matrix([])
 
 
 def test_compute_deltas_shape_mismatch():

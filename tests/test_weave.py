@@ -480,7 +480,7 @@ def test_weave_wall_time_includes_deltas(monkeypatch, rng):
 
 def test_weave_requires_inputs(rng):
     pre, _ = random_instance(rng, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one fine-tuned checkpoint"):
         weave(pre, [], MergeSpec("task_arithmetic"))
 
 
