@@ -14,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .methods import MergeSpec
-from .store import TensorMap, _write_text, _Writer
+from .store import Tensor, TensorMap, _stream, _write_text, _Writer
 from .vectors import _rebased, _task_labels
 from .weave import SearchSpace, _tensor_sweep
 
@@ -160,10 +160,11 @@ def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: Me
                  paths: Sequence[str | Path], labels: Sequence[str] | None = None) -> None:
     """``sweep_emit`` without the manifest: pretrained + merge(deltas, lam) at each factor, written to ``paths``."""
     labels = _task_labels(pretrained, finetuned, labels)
+
+    def rebased_members(name: str) -> Iterator[Tensor]:
+        pre, _, _, members = _tensor_sweep(name, pretrained, finetuned, labels, spec, space)
+        return (_rebased(name, pre, member.reshape(pre.shape), pretrained[name].stored_dtype) for member in members)
+
     with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
         writers = [stack.enter_context(_Writer(path, pretrained.items(), pretrained.metadata)) for path in paths]
-        for name, entry in pretrained.items():
-            pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec, space)
-            for writer, member in zip(writers, members):
-                writer.write(name, _rebased(name, pre, member.reshape(pre.shape), entry.stored_dtype))
-            del pre, flats, top, members, member  # before the next tensor's sweep runs
+        _stream(pretrained.names, rebased_members, [writer.write for writer in writers])

@@ -1,10 +1,10 @@
 """Command-line surface: deltas, merge, weave, analyze, inspect.
 
 Every command is a thin shim over the library; outputs are bitwise equal
-to direct library calls. The commands that write a model read each input
-tensor when they need it; ``merge`` is a one-factor sweep, writing the file
-``analyze sweep`` writes for its lambda. Logs go to stderr, data to files
-or stdout.
+to direct library calls. A command that writes a model reads each input
+tensor when it needs it and writes each output tensor once made, holding a
+few tensors, not a model; ``merge`` is a one-factor sweep, writing the file
+``analyze sweep`` writes for its lambda. Logs go to stderr, data to files or stdout.
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage or validation
 error.
 """
@@ -20,16 +20,9 @@ from pathlib import Path
 
 from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_emit
 from .methods import _REGISTRY, MergeSpec, available_methods
-from .store import (
-    CheckpointError,
-    FingerprintMismatch,
-    _Reader,
-    _write_text,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .vectors import TaskVector, compute_deltas, cosine_matrix
-from .weave import PoolSpec, SearchSpace, default_search_space, weave
+from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _stream, _write_text, _Writer, read_checkpoint
+from .vectors import TaskVector, _task_labels, _task_vectors, compute_deltas, cosine_matrix
+from .weave import PoolSpec, SearchSpace, _weave, default_search_space
 
 log = logging.getLogger("tensorweave")
 # Each built-in method parameter -> the help of its flag, in registry order.
@@ -193,18 +186,21 @@ def _read_inputs(
 
 def _cmd_deltas(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
-        vectors = compute_deltas(*_read_inputs(args, stack))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    used: set[str] = set()
-    for vector in vectors:
-        stem = vector.source_name
-        while stem in used:
-            stem = f"{stem}_{vector.index}"
-        used.add(stem)
-        target = out_dir / f"{stem}.delta.safetensors"
-        write_checkpoint(vector.delta, target)
-        log.info("wrote %s", target)
+        pretrained, finetuned, labels = _read_inputs(args, stack)
+        labels = _task_labels(pretrained, finetuned, labels)
+        stems: list[str] = []
+        for index, stem in enumerate(labels, start=1):
+            while stem in stems:
+                stem = f"{stem}_{index}"
+            stems.append(stem)
+        targets = [Path(args.out_dir) / f"{stem}.delta.safetensors" for stem in stems]
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        # task vectors are float32 whatever the pre-trained model stores, and carry no metadata
+        entries = [(name, _Entry("F32", entry.shape, 0)) for name, entry in pretrained.items()]
+        writers = [stack.enter_context(_Writer(target, entries, {})) for target in targets]
+        _stream(pretrained.names, lambda name: _task_vectors(name, pretrained.array(name), finetuned, labels),
+                [writer.write for writer in writers])
+    log.info("wrote %s", ", ".join(map(str, targets)))
     return 0
 
 
@@ -225,15 +221,11 @@ def _cmd_weave(args: argparse.Namespace) -> int:
 
     with contextlib.ExitStack() as stack:
         pretrained, finetuned, labels = _read_inputs(args, stack)
-        final, report = weave(
-            pretrained, finetuned, spec, space=args.lambda_range, pool_spec=pool_spec, labels=labels,
-            threads=args.threads,
-        )
-    out = Path(args.out)
-    write_checkpoint(final, out)
-    report_path = out.with_suffix(".report.json")
+        writer = stack.enter_context(_Writer(args.out, pretrained.items(), pretrained.metadata))
+        report = _weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads, writer.write)
+    report_path = Path(args.out).with_suffix(".report.json")
     _write_text(report_path, report.to_json() + "\n")
-    log.info("wrote %s and %s", out, report_path)
+    log.info("wrote %s and %s", args.out, report_path)
     return 0
 
 
@@ -269,13 +261,15 @@ def _cmd_analyze_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    checkpoint = read_checkpoint(args.path)
-    for name, tensor in checkpoint.items():
-        shape = "x".join(str(s) for s in tensor.shape) or "scalar"
-        print(f"{name}\t{tensor.stored_dtype}\t{shape}\t{tensor.size}")
-    for key, value in sorted(checkpoint.metadata.items()):
-        print(f"# {key} = {value}")
-    print(f"{len(checkpoint)} tensors, {checkpoint.total_elements()} elements")
+    with _Reader(args.path) as reader:
+        for name in reader.names:  # every tensor is read and checked, one at a time, before anything is printed
+            reader.tensor(name)
+        for name, entry in reader.items():
+            shape = "x".join(str(s) for s in entry.shape) or "scalar"
+            print(f"{name}\t{entry.stored_dtype}\t{shape}\t{entry.size}")
+        for key, value in sorted(reader.metadata.items()):
+            print(f"# {key} = {value}")
+        print(f"{len(reader.names)} tensors, {sum(entry.size for _, entry in reader.items())} elements")
     return 0
 
 

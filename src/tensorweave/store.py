@@ -29,9 +29,10 @@ import json
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -445,3 +446,31 @@ def write_checkpoint(
     with _Writer(path, tensor_map.items(), tensor_map.metadata, dtype_policy) as writer:
         for name, tensor in tensor_map.items():
             writer.write(name, tensor)
+
+
+def _stream(names: Iterable[str], produce: Callable[[str], Iterable[Tensor]],
+            sinks: Sequence[Callable[[str, Tensor], None]], threads: int = 1) -> None:
+    """Give each name's tensors, ``produce(name)``, one to each sink in turn, name by name in order.
+
+    The sinks run on the calling thread. So does ``produce`` at one thread, each tensor reaching its sink
+    before the next is made; more ``threads`` produce ahead, at most ``2 x threads`` names being produced
+    or waiting for the sinks. The first faulty name's error is raised, and no later name reaches the sinks.
+    """
+    if threads == 1:  # a worker thread feeding this one measured slower, and would bound nothing more
+        for name in names:
+            _give(name, produce(name), sinks)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as executor:  # the executor rejects threads < 1
+        window = []
+        for name in names:
+            if len(window) == 2 * threads:
+                _give(*window.pop(0).result(), sinks)
+            window.append(executor.submit(lambda n: (n, list(produce(n))), name))
+        while window:
+            _give(*window.pop(0).result(), sinks)
+
+
+def _give(name: str, tensors: Iterable[Tensor], sinks: Sequence[Callable[[str, Tensor], None]]) -> None:
+    """A function, not a loop body, so that the last tensor is released before the next name is produced."""
+    for sink, tensor in zip(sinks, tensors):
+        sink(name, tensor)

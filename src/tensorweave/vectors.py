@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .store import Tensor, TensorMap, require_compatible
+from .store import Tensor, TensorMap, _stream, require_compatible
 
 __all__ = [
     "TaskVector",
@@ -45,11 +45,14 @@ def compute_deltas(
     """
     labels = _task_labels(pretrained, finetuned, labels)
     tensors = [{} for _ in finetuned]
-    for name in pretrained.names:
-        pre = pretrained.array(name)
-        for label, candidate, out in zip(labels, finetuned, tensors):
-            out[name] = _task_delta(label, name, candidate.array(name), pre)
+    _stream(pretrained.names, lambda name: _task_vectors(name, pretrained.array(name), finetuned, labels),
+            [t.__setitem__ for t in tensors])
     return [TaskVector(TensorMap(t), label, pos) for pos, (label, t) in enumerate(zip(labels, tensors), start=1)]
+
+
+def _task_vectors(name: str, pre: np.ndarray, finetuned: Sequence[TensorMap], labels: list[str]) -> Iterator[Tensor]:
+    """Tensor ``name``'s task vectors, in checkpoint order, each made (its fine-tuned tensor read) when reached."""
+    return (_task_delta(label, name, candidate.array(name), pre) for label, candidate in zip(labels, finetuned))
 
 
 def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str] | None) -> list[str]:

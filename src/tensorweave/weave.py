@@ -8,16 +8,17 @@ and adds the pooled delta back onto the pre-trained weights.
 ``weave`` works on one tensor at a time, from its inputs: the tensor's
 task vectors, the merge kernel's base, the members the pooling needs and
 the pooled delta are made, used and released before the next tensor.
-The output is held whole as a float32 model. The inputs' values are read
-through ``.array(name)`` only: loaded maps are held whole by the caller,
-but the CLI passes open checkpoint readers, which read each input tensor
-when it is woven, so no whole input model is held. Above the output, each
-worker thread holds a small multiple of (tasks + members) x the tensor in
-flight: its pre-trained values and task vectors (one fine-tuned tensor
-read at a time), the kernel's float64 base and intermediates, and one
-member cast at a time (``avg`` adds each into a float64 sum; ``magmax``
-casts only the top member, since a member that ties it has its bits).
-Only ``random`` stacks a copy of all members.
+Each woven tensor goes to a sink in name order: ``weave`` returns them
+as a float32 model, and the CLI writes each one to its file, holding no
+whole output. The inputs' values are read through ``.array(name)`` only:
+loaded maps are held whole by the caller, but the CLI passes open readers,
+which read each input tensor when it is woven. Beyond that, each worker
+thread holds a small multiple of (tasks + members) x the tensor in flight:
+its pre-trained values and task vectors (one fine-tuned tensor read at a
+time), the kernel's float64 base and intermediates, and one member cast
+at a time (``avg`` adds each into a float64 sum; ``magmax`` casts only
+the top member, since a member that ties it has its bits). Only ``random``
+stacks a copy of all members.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +36,7 @@ import numpy as np
 from .methods import MergeSpec, sweep_base_kernel
 from .methods import _accumulate, _largest_magnitude, _member, _member_maps, _method, _scaled, _tensor_base
 from .rng import stream_key, uniform01
-from .store import Tensor, TensorMap, require_compatible
+from .store import Tensor, TensorMap, _stream, require_compatible
 from .vectors import TaskVector, _task_delta, _task_labels
 
 __all__ = [
@@ -229,13 +229,21 @@ def weave(
     for the shape and stored dtype, ``.array(name)`` for the values), one
     tensor at a time, so an open checkpoint reader serves as an input.
     """
+    tensors: dict[str, Tensor] = {}
+    report = _weave(pretrained, finetuned, spec_template, space, pool_spec, labels, threads, tensors.__setitem__)
+    return TensorMap(tensors, metadata=pretrained.metadata), report
+
+
+def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template: MergeSpec, space: SearchSpace | None,
+           pool_spec: PoolSpec | None, labels: Sequence[str] | None, threads: int, sink) -> WeaveReport:
+    """``weave``, giving each tensor to ``sink(name, tensor)`` in name order; the report's time includes the sink's."""
     started = time.perf_counter()
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
     labels = _task_labels(pretrained, finetuned, labels)
     n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
 
-    def weave_one(name: str) -> tuple[str, Tensor]:
+    def weave_one(name: str) -> tuple[Tensor]:
         pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
         # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member
         # that ties the top one has its bits: magmax pooling needs no other member
@@ -245,21 +253,16 @@ def weave(
         with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports
             rebased = pre + pooled.reshape(pre.shape)
         error = f"tensor {name!r}: pre-trained plus pooled delta overflows float32"
-        return name, Tensor(rebased, pretrained[name].stored_dtype, error)
+        return (Tensor(rebased, pretrained[name].stored_dtype, error),)
 
-    names = pretrained.names
-    with ThreadPoolExecutor(max_workers=threads) as executor:  # the executor rejects threads < 1
-        results = dict(executor.map(weave_one, names))
-
-    final = TensorMap(results, metadata=pretrained.metadata)
-    report = WeaveReport(
+    _stream(pretrained.names, weave_one, [sink], threads)
+    return WeaveReport(
         method=spec_template.method,
         lambdas=space.lambdas,
         pooling=pool_spec.pooling,
         include_deltas=pool_spec.include_deltas,
         n_tasks=len(finetuned),
         n_members=n_members,
-        element_counts={name: pretrained[name].size for name in names},
+        element_counts={name: entry.size for name, entry in pretrained.items()},
         wall_time_s=time.perf_counter() - started,
     )
-    return final, report

@@ -419,6 +419,17 @@ def test_deltas_renamed_stem_never_overwrites_another_output(tmp_path):
         assert read_checkpoint(out / f"{name}.delta.safetensors") == vector.delta
 
 
+def test_deltas_of_an_f16_pretrained_model_match_the_library_bitwise(tmp_path):
+    # task vectors are float32 whatever the pre-trained model stores: no F16 payload and no dtype.* metadata
+    out = tmp_path / "deltas"
+    assert run("deltas", "--pretrained", HALF, "--out-dir", out, PRE, CARS) == 0
+    vectors = compute_deltas(read_checkpoint(HALF), [read_checkpoint(PRE), read_checkpoint(CARS)])
+    for stem, vector in zip(("pretrained", "task_cars"), vectors):
+        expected = tmp_path / f"{stem}.expected.safetensors"
+        write_checkpoint(vector.delta, expected)
+        assert (out / f"{stem}.delta.safetensors").read_bytes() == expected.read_bytes()
+
+
 def test_data_commands_keep_stdout_clean(tmp_path, capsys):
     out = tmp_path / "clean.safetensors"
     code = run(
@@ -513,6 +524,32 @@ def test_analyze_sweep_fault_in_a_late_tensor_writes_no_file(tmp_path, capsys, f
     assert kept.read_bytes() == b"from an earlier sweep"
 
 
+@pytest.mark.parametrize("command", ["weave", "weave-threads2", "deltas"])
+def test_fault_in_a_late_tensor_writes_no_file(tmp_path, capsys, command):
+    # the output files are filled tensor by tensor, so the fault shows only at the last tensor 'z', once
+    # 'a' is written; still no file may replace its target, and weave writes no report
+    pre = tmp_path / "pre.safetensors"
+    write_checkpoint(TensorMap({"a": np.zeros(4, dtype=np.float32), "z": np.zeros(3, dtype=np.float32)}), pre)
+    tasks = [tmp_path / f"task{i}.safetensors" for i in range(2)]
+    for path in tasks:
+        write_checkpoint(TensorMap({"a": np.ones(4, dtype=np.float32), "z": np.ones(3, dtype=np.float32)}), path)
+    _nan_in_last_tensor(tasks[-1])
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "deltas":
+        kept = out / "task1.delta.safetensors"
+        argv = ("deltas", "--out-dir", out)
+    else:
+        kept = out / "woven.safetensors"
+        argv = ("weave", "--method", "task_arithmetic", "--threads", 2 if command == "weave-threads2" else 1,
+                "--out", kept)
+    kept.write_bytes(b"from an earlier run")
+    assert run(*argv, "--pretrained", pre, *tasks) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {tasks[-1]}: tensor 'z': non-finite value (NaN or Inf)"]
+    assert [p.name for p in out.iterdir()] == [kept.name]
+    assert kept.read_bytes() == b"from an earlier run"
+
+
 @pytest.mark.parametrize("command", ["weave", "analyze sweep", "analyze best-lambda"])
 def test_failed_json_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "out"
@@ -574,6 +611,17 @@ def test_inspect_truncated_file_exits_1(tmp_path, capsys):
     broken.write_bytes(b"\x99\x00")
     assert run("inspect", broken) == 1
     assert "malformed header" in capsys.readouterr().err
+
+
+def test_inspect_fault_in_the_last_tensor_prints_nothing(tmp_path, capsys):
+    # inspect checks every tensor's values, one at a time, before it prints the listing
+    path = tmp_path / "nan.safetensors"
+    write_checkpoint(TensorMap({"a": np.zeros(2, dtype=np.float32), "z": np.zeros(3, dtype=np.float32)}), path)
+    _nan_in_last_tensor(path)
+    assert run("inspect", path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: tensor 'z': non-finite value (NaN or Inf)"]
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -679,13 +727,14 @@ def test_merge_writes_the_sweep_file_of_its_lambda(tmp_path, method, half_role):
     assert ("dtype.head.weight" in read_checkpoint(merged).metadata) == (half_role == "pretrained")
 
 
-@pytest.mark.parametrize("command", ["merge", "deltas"])
+@pytest.mark.parametrize("command", ["merge", "deltas", "weave", "weave-threads2"])
 def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
-    # merge holds a small multiple of (tasks + 1) x the tensor in flight; deltas holds its outputs, the
-    # task vectors, whole, but reads its inputs tensor by tensor; loaded whole, the inputs alone would
-    # take (1 + tasks) x the model (4 x 16 tensors here), beyond either allowance
+    # merge holds a small multiple of (tasks + 1) x the tensor in flight, and weave that per worker thread;
+    # deltas holds one tensor's pre-trained values and task vectors at a time. Loaded whole, the inputs
+    # alone would take (1 + tasks) x the model, and weave's output held whole one model, beyond every
+    # allowance. weave's model has more, smaller tensors (64, not 16), so one output model outweighs its working set
     gen = np.random.default_rng(3)
-    shape, n_tensors, n_tasks = (256, 256), 16, 3
+    shape, n_tensors, n_tasks = ((128, 128), 64, 3) if command.startswith("weave") else ((256, 256), 16, 3)
     paths = [tmp_path / f"m{i}.safetensors" for i in range(1 + n_tasks)]
     for path in paths:
         write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32)
@@ -694,9 +743,14 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
     if command == "merge":
         argv = ("merge", "--method", "ties", "--keep-fraction", "0.5", "--out", tmp_path / "out.safetensors")
         allowance = 5 * (n_tasks + 1) * tensor_bytes
-    else:
+    elif command == "deltas":
         argv = ("deltas", "--out-dir", tmp_path / "deltas")
-        allowance = (n_tasks * n_tensors + n_tasks + 4) * tensor_bytes
+        allowance = 2 * (n_tasks + 1) * tensor_bytes
+    else:
+        threads = 2 if command == "weave-threads2" else 1
+        argv = ("weave", "--method", "task_arithmetic", "--threads", threads, "--out", tmp_path / "out.safetensors")
+        allowance = threads * 5 * (n_tasks + 1) * tensor_bytes
+        assert allowance < n_tensors * tensor_bytes
     assert allowance < (1 + n_tasks) * n_tensors * tensor_bytes
     tracemalloc.start()
     try:

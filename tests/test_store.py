@@ -2,6 +2,8 @@ import builtins
 import json
 import os
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -468,3 +470,61 @@ def test_writer_commits_only_a_complete_file(tmp_path):
         with store._Writer(target, tensors.items(), {}) as writer:
             writer.write("a", tensors["a"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stream_bounds_the_names_in_flight_when_the_first_is_slow():
+    # while the first name is produced, the workers run ahead, but at most 2 x threads names may be
+    # produced and not yet given to the sinks; an unbounded executor.map would produce every other name
+    threads, names = 2, [f"t{i:02d}" for i in range(24)]
+    lock, waiting, most, given = threading.Lock(), set(), [0], []
+
+    def produce(name):
+        if name == names[0]:
+            time.sleep(0.2)
+        with lock:
+            waiting.add(name)
+            most[0] = max(most[0], len(waiting))
+        return [name]
+
+    def sink(name, tensor):
+        with lock:
+            waiting.remove(name)
+        given.append(tensor)
+
+    store._stream(names, produce, [sink], threads)
+    assert given == names
+    assert 1 < most[0] <= 2 * threads
+
+
+def test_stream_at_one_thread_produces_on_the_calling_thread_in_step_with_the_sinks():
+    events = []
+
+    def produce(name):
+        for pos in range(2):
+            events.append(("make", name, pos, threading.get_ident()))
+            yield f"{name}{pos}"
+
+    sinks = [lambda name, tensor, pos=pos: events.append(("sink", name, pos, tensor)) for pos in range(2)]
+    store._stream(["a", "b"], produce, sinks)
+    main = threading.get_ident()
+    assert events == [
+        (kind, name, pos, main if kind == "make" else f"{name}{pos}")
+        for name in "ab" for pos in range(2) for kind in ("make", "sink")
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_stream_raises_the_fault_of_the_first_faulty_name(threads):
+    # with workers, the later name's fault comes first in time; the earlier name's is still the one raised
+    def produce(name):
+        if name == "t2":
+            time.sleep(0.1)
+            raise ValueError("fault in t2")
+        if name == "t3":
+            raise ValueError("fault in t3")
+        return [name]
+
+    given = []
+    with pytest.raises(ValueError, match="^fault in t2$"):
+        store._stream([f"t{i}" for i in range(8)], produce, [lambda name, tensor: given.append(name)], threads)
+    assert given == ["t0", "t1"]
