@@ -167,17 +167,17 @@ def _merge_spec(args: argparse.Namespace) -> MergeSpec:
 
 
 def _read_inputs(
-    args: argparse.Namespace, stack: contextlib.ExitStack
+    pretrained_path: str, finetuned_paths: list[str], stack: contextlib.ExitStack
 ) -> tuple[_Reader, list[_Reader], list[str]]:
     """The pre-trained and fine-tuned checkpoints, and the task labels (file stems).
 
     Each checkpoint is an open reader, closed with ``stack``, whose header
     is checked now and whose tensors are read when asked.
     """
-    log.info("reading pre-trained checkpoint %s", args.pretrained)
-    pretrained = stack.enter_context(_Reader(args.pretrained))
+    log.info("reading pre-trained checkpoint %s", pretrained_path)
+    pretrained = stack.enter_context(_Reader(pretrained_path))
     finetuned, labels = [], []
-    for path in args.finetuned:
+    for path in finetuned_paths:
         log.info("reading fine-tuned checkpoint %s", path)
         finetuned.append(stack.enter_context(_Reader(path)))
         labels.append(Path(path).stem)
@@ -186,7 +186,7 @@ def _read_inputs(
 
 def _cmd_deltas(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
-        pretrained, finetuned, labels = _read_inputs(args, stack)
+        pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         labels = _task_labels(pretrained, finetuned, labels)
         stems: list[str] = []
         for index, stem in enumerate(labels, start=1):
@@ -207,7 +207,7 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     with contextlib.ExitStack() as stack:
-        pretrained, finetuned, labels = _read_inputs(args, stack)
+        pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         _write_sweep(pretrained, finetuned, spec, SearchSpace((spec.lam,)), [args.out], labels)
     log.info("wrote %s", args.out)
     return 0
@@ -220,7 +220,7 @@ def _cmd_weave(args: argparse.Namespace) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
     with contextlib.ExitStack() as stack:
-        pretrained, finetuned, labels = _read_inputs(args, stack)
+        pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         writer = stack.enter_context(_Writer(args.out, pretrained.items(), pretrained.metadata))
         report = _weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads, writer.write)
     report_path = Path(args.out).with_suffix(".report.json")
@@ -231,9 +231,8 @@ def _cmd_weave(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_cosine(args: argparse.Namespace) -> int:
     if args.pretrained is not None:
-        pretrained = read_checkpoint(args.pretrained)
-        finetuned = [read_checkpoint(p) for p in args.inputs]
-        vectors = compute_deltas(pretrained, finetuned, labels=[Path(p).stem for p in args.inputs])
+        with contextlib.ExitStack() as stack:  # task vectors are made tensor by tensor from the open readers
+            vectors = compute_deltas(*_read_inputs(args.pretrained, args.inputs, stack))
     else:
         vectors = [
             TaskVector(read_checkpoint(path), source_name=Path(path).stem, index=pos + 1)
@@ -253,7 +252,7 @@ def _cmd_analyze_sweep(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     space = args.lambda_range or default_search_space(spec.method)
     with contextlib.ExitStack() as stack:
-        pretrained, finetuned, labels = _read_inputs(args, stack)
+        pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         paths = sweep_emit(pretrained, finetuned, spec, space, args.out_dir, labels=labels)
     for path in paths:
         print(path)

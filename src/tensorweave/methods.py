@@ -1,8 +1,10 @@
 """The merge methods and their registry: the five built-ins are the full set.
 
-A merge function maps (task vectors, spec) to a single merged delta map.
-Every method works tensor by tensor, which the sweep engine relies on for
-streaming: merging a sub-map equals the sub-map of the full merge.
+A merge function maps (task vectors, spec) to a single merged delta map;
+the spec's method selects the base kernel, so a function refuses a spec for
+another method. Every method works tensor by tensor, which the sweep engine
+relies on for streaming: merging a sub-map equals the sub-map of the full
+merge. ``_sweep`` alone runs kernels and makes merged deltas, for all callers.
 
 Elementwise arithmetic accumulates in float64 and rounds once to float32
 per element, so results are independent of chunking and thread count and
@@ -11,14 +13,15 @@ can be checked bit-for-bit against a scalar reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .rng import stream_key, uniform01
-from .store import CheckpointError, Tensor, TensorMap
+from .store import CheckpointError, TensorMap
 from .vectors import TaskVector, _check_deltas
 
 __all__ = [
@@ -88,49 +91,38 @@ def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
 _BaseKernel = Callable[[str, list[np.ndarray], Sequence[int], MergeSpec], np.ndarray]
 
 
-def _tensor_base(
-    name: str, flats: list[np.ndarray], indices: Sequence[int], kernel: _BaseKernel, spec: MergeSpec
-) -> np.ndarray:
-    """Tensor ``name``'s flat float64 kernel base.
+def _sweep(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec,
+           lambdas: Sequence[float]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Tensor ``name``'s merged deltas at ``lambdas`` (flat float32): the checked top-factor member,
+    and every member in sweep order, each cast when reached.
 
-    An overflow inside the kernel (``dare``'s rescale) leaves Inf or NaN,
-    which ``_member`` reports.
+    The spec's method picks the base kernel, which runs once; the member at
+    ``lam`` is ``lam * base`` rounded to float32. An overflow inside the
+    kernel (``dare``'s rescale) leaves Inf or NaN. ``|f32(lam * base)|``
+    never shrinks as ``lam`` grows, so no member overflows unless the top
+    one does; only then are the others cast, to name the smallest lambda
+    that overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return kernel(name, flats, indices, spec)
+        base = _method(spec.method).kernel(name, flats, indices, spec)
+        top = (lambdas[-1] * base).astype(np.float32)
+        if not np.isfinite(top).all():
+            lam = next(lam for lam in lambdas if not np.isfinite((lam * base).astype(np.float32)).all())
+            raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32")
+    return top, itertools.chain(((lam * base).astype(np.float32) for lam in lambdas[:-1]), [top])
 
 
-def _scaled(lam: float, base: np.ndarray) -> np.ndarray:
-    """The sweep member at factor ``lam``: ``lam * base`` rounded to float32."""
-    return (lam * base).astype(np.float32)
-
-
-def _member(name: str, lambdas: Sequence[float], base: np.ndarray) -> Tensor:
-    """Tensor ``name``'s member at the last of ``lambdas``, checked.
-
-    ``|f32(lam * base)|`` never shrinks as ``lam`` grows, so no member
-    overflows unless the last one does; only then are the others cast, to
-    name the smallest lambda that overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return Tensor(_scaled(lambdas[-1], base))
-        except CheckpointError:
-            lam = next(lam for lam in lambdas if not np.isfinite(_scaled(lam, base)).all())
-            raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32") from None
-
-
-def _member_maps(deltas: Sequence[TaskVector], kernel: _BaseKernel, spec: MergeSpec,
+def _member_maps(deltas: Sequence[TaskVector], method: str, spec: MergeSpec,
                  lambdas: Sequence[float]) -> list[TensorMap]:
-    """The merged delta map at each factor in ``lambdas``, in order; the base is computed once per tensor."""
-    _check_deltas(deltas, "merge")
+    """The merged delta map at each factor in ``lambdas``, in order, by ``method``, which ``spec`` must be for."""
+    if spec.method != method:
+        raise ValueError(f"merge function {method} was given a spec for method {spec.method}")
+    _check_deltas([tv.delta for tv in deltas], "merge")
     indices = [tv.index for tv in deltas]
     per_tensor = {}
     for name, tensor in deltas[0].delta.items():
-        flats = [tv.delta.array(name).ravel() for tv in deltas]
-        base = _tensor_base(name, flats, indices, kernel, spec).reshape(tensor.shape)
-        per_tensor[name] = [_member(name, lambdas[:end], base) for end in range(1, len(lambdas) + 1)]
-        del base  # before the next tensor's kernel runs
+        _, members = _sweep(name, [tv.delta.array(name).ravel() for tv in deltas], indices, spec, lambdas)
+        per_tensor[name] = [member.reshape(tensor.shape) for member in members]
     return [TensorMap({name: members[pos] for name, members in per_tensor.items()}) for pos in range(len(lambdas))]
 
 
@@ -158,7 +150,7 @@ def _check_dare(spec: MergeSpec) -> None:
 
 def task_arithmetic(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     """lam * sum of the task vectors."""
-    return _member_maps(deltas, _ta_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, "task_arithmetic", spec, (spec.lam,))[0]
 
 
 def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
@@ -168,7 +160,7 @@ def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     (seed, task index, tensor name, element index), so masks do not
     depend on execution order.
     """
-    return _member_maps(deltas, _dare_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, "dare", spec, (spec.lam,))[0]
 
 
 def _trim_count(fraction: float, size: int) -> int:
@@ -240,7 +232,7 @@ def ties(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     element is the sign of the sum of trimmed values. The output is the
     mean of trimmed values matching the elected sign, scaled by lam.
     """
-    return _member_maps(deltas, _ties_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, "ties", spec, (spec.lam,))[0]
 
 
 def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
@@ -273,7 +265,7 @@ def breadcrumbs(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     drop the lower flat index first on the small side and the higher flat
     index first on the large side.
     """
-    return _member_maps(deltas, _breadcrumbs_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, "breadcrumbs", spec, (spec.lam,))[0]
 
 
 def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
@@ -293,7 +285,7 @@ def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
 
     Magnitude ties select the smallest task index.
     """
-    return _member_maps(deltas, _magmax_base, spec, (spec.lam,))[0]
+    return _member_maps(deltas, "magmax", spec, (spec.lam,))[0]
 
 
 @dataclass(frozen=True)
@@ -333,9 +325,14 @@ def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel:
     Sweeps use it to evaluate the merge once per tensor and rescale per
     factor. Raises ValueError for any other function.
     """
-    for method in _REGISTRY.values():
+    return _REGISTRY[_method_of(merge_fn)].kernel
+
+
+def _method_of(merge_fn: MergeFn) -> str:
+    """The registry name of a built-in merge function; ValueError for any other function."""
+    for name, method in _REGISTRY.items():
         if method.fn is merge_fn:
-            return method.kernel
+            return name
     raise ValueError(f"{merge_fn!r} is not a built-in merge function")
 
 

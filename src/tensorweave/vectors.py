@@ -66,12 +66,12 @@ def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: 
     return list(labels) if labels is not None else [f"task{pos + 1}" for pos in range(len(finetuned))]
 
 
-def _check_deltas(deltas: Sequence[TaskVector], caller: str) -> None:
-    """Raise unless there is a task vector and every one matches the first; the message names ``caller``."""
-    if not deltas:
-        raise ValueError(f"{caller} needs at least one task vector")
-    for pos, tv in enumerate(deltas[1:], start=2):
-        require_compatible(deltas[0].delta, tv.delta, label=f"task vector {pos}")
+def _check_deltas(maps: Sequence[TensorMap], caller: str, kind: str = "task vector") -> None:
+    """Raise unless there is a map and every one matches the first; the messages name ``caller`` and ``kind``."""
+    if not maps:
+        raise ValueError(f"{caller} needs at least one {kind}")
+    for pos, candidate in enumerate(maps[1:], start=2):
+        require_compatible(maps[0], candidate, label=f"{kind} {pos}")
 
 
 def _task_delta(label: str, name: str, finetuned: np.ndarray, pretrained: np.ndarray) -> Tensor:
@@ -93,10 +93,11 @@ def add(base: TensorMap, delta: TensorMap) -> TensorMap:
     return TensorMap(tensors, metadata=base.metadata)
 
 
-def _rebased(name: str, base: np.ndarray, delta: np.ndarray, stored_dtype: str) -> Tensor:
-    """Tensor ``name``'s base + delta, stored as the base; an overflow names the tensor."""
+def _rebased(name: str, base: np.ndarray, delta: np.ndarray, stored_dtype: str,
+             what: str = "base plus delta") -> Tensor:
+    """Tensor ``name``'s base + delta, stored as the base; an overflow names the tensor and ``what`` overflowed."""
     with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
-        return Tensor(base + delta, stored_dtype, f"tensor {name!r}: base plus delta overflows float32")
+        return Tensor(base + delta, stored_dtype, f"tensor {name!r}: {what} overflows float32")
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
     A zero vector has similarity 0 with everything; its diagonal entry is
     defined as 1.
     """
-    _check_deltas(vectors, "cosine_matrix")
+    _check_deltas([tv.delta for tv in vectors], "cosine_matrix")
     flats = [
         np.concatenate([tv.delta.array(name).ravel() for name in tv.delta] or [np.zeros(0)]).astype(
             np.float64

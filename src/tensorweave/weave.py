@@ -33,11 +33,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .methods import MergeSpec, sweep_base_kernel
-from .methods import _accumulate, _largest_magnitude, _member, _member_maps, _method, _scaled, _tensor_base
+from .methods import MergeSpec, _accumulate, _largest_magnitude, _member_maps, _method, _method_of, _sweep
 from .rng import stream_key, uniform01
-from .store import Tensor, TensorMap, _stream, require_compatible
-from .vectors import TaskVector, _task_delta, _task_labels
+from .store import Tensor, TensorMap, _stream
+from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 
 __all__ = [
     "SearchSpace",
@@ -156,7 +155,7 @@ def build_augmented(
     Each merge evaluates its factor-free part once per tensor and
     rescales; the result is identical to merging from scratch per factor.
     """
-    return _member_maps(deltas, sweep_base_kernel(merge_fn), spec_template, space.lambdas)
+    return _member_maps(deltas, _method_of(merge_fn), spec_template, space.lambdas)
 
 
 def _pool_flat(name: str, flats: Iterable[np.ndarray], count: int, pooling: str, seed: int) -> np.ndarray:
@@ -182,10 +181,7 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
     Pass members with raw deltas first (task order) and swept merges
     after (sweep order) so that selection tie-breaks are reproducible.
     """
-    if not members:
-        raise ValueError("pool needs at least one member")
-    for pos, member in enumerate(members[1:], start=2):
-        require_compatible(members[0], member, label=f"member {pos}")
+    _check_deltas(members, "pool", "member")
     out = {}
     for name, tensor in members[0].items():
         flats = [m.array(name).ravel() for m in members]
@@ -203,10 +199,8 @@ def _tensor_sweep(
     An overflowing member is an error, whatever uses the sweep.
     """
     pre = pretrained.array(name)
-    flats = [_task_delta(label, name, ft.array(name), pre).values.ravel() for label, ft in zip(labels, finetuned)]
-    base = _tensor_base(name, flats, range(1, len(flats) + 1), _method(spec.method).kernel, spec)
-    top = _member(name, space.lambdas, base).values
-    return pre, flats, top, itertools.chain((_scaled(lam, base) for lam in space.lambdas[:-1]), [top])
+    flats = [tv.values.ravel() for tv in _task_vectors(name, pre, finetuned, labels)]
+    return (pre, flats, *_sweep(name, flats, range(1, len(flats) + 1), spec, space.lambdas))
 
 
 def weave(
@@ -250,10 +244,8 @@ def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template:
         sweep = [top] if pool_spec.pooling == "magmax" else members
         raw = flats if pool_spec.include_deltas else []
         pooled = _pool_flat(name, itertools.chain(raw, sweep), n_members, pool_spec.pooling, pool_spec.seed)
-        with np.errstate(over="ignore"):  # an overflow leaves Inf, which the Tensor check reports
-            rebased = pre + pooled.reshape(pre.shape)
-        error = f"tensor {name!r}: pre-trained plus pooled delta overflows float32"
-        return (Tensor(rebased, pretrained[name].stored_dtype, error),)
+        return (_rebased(name, pre, pooled.reshape(pre.shape), pretrained[name].stored_dtype,
+                         "pre-trained plus pooled delta"),)
 
     _stream(pretrained.names, weave_one, [sink], threads)
     return WeaveReport(

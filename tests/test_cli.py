@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import os
 import random
@@ -727,12 +728,14 @@ def test_merge_writes_the_sweep_file_of_its_lambda(tmp_path, method, half_role):
     assert ("dtype.head.weight" in read_checkpoint(merged).metadata) == (half_role == "pretrained")
 
 
-@pytest.mark.parametrize("command", ["merge", "deltas", "weave", "weave-threads2"])
+@pytest.mark.parametrize("command", ["merge", "deltas", "weave", "weave-threads2", "cosine"])
 def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
     # merge holds a small multiple of (tasks + 1) x the tensor in flight, and weave that per worker thread;
     # deltas holds one tensor's pre-trained values and task vectors at a time. Loaded whole, the inputs
     # alone would take (1 + tasks) x the model, and weave's output held whole one model, beyond every
-    # allowance. weave's model has more, smaller tensors (64, not 16), so one output model outweighs its working set
+    # allowance. weave's model has more, smaller tensors (64, not 16), so one output model outweighs its working set.
+    # cosine --pretrained must hold the task vectors, their float64 flats and one float32 concatenation
+    # ((3 x tasks + 1) models), but its inputs only tensor by tensor, not whole beside them
     gen = np.random.default_rng(3)
     shape, n_tensors, n_tasks = ((128, 128), 64, 3) if command.startswith("weave") else ((256, 256), 16, 3)
     paths = [tmp_path / f"m{i}.safetensors" for i in range(1 + n_tasks)]
@@ -740,18 +743,23 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
         write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32)
                                     for i in range(n_tensors)}), path)
     tensor_bytes = shape[0] * shape[1] * 4
+    held = 0  # what the command holds whatever way it reads its inputs
     if command == "merge":
         argv = ("merge", "--method", "ties", "--keep-fraction", "0.5", "--out", tmp_path / "out.safetensors")
         allowance = 5 * (n_tasks + 1) * tensor_bytes
     elif command == "deltas":
         argv = ("deltas", "--out-dir", tmp_path / "deltas")
         allowance = 2 * (n_tasks + 1) * tensor_bytes
+    elif command == "cosine":
+        argv = ("analyze", "cosine", "--out", tmp_path / "cosine.json")
+        held = (3 * n_tasks + 1) * n_tensors * tensor_bytes
+        allowance = held + 5 * (n_tasks + 1) * tensor_bytes
     else:
         threads = 2 if command == "weave-threads2" else 1
         argv = ("weave", "--method", "task_arithmetic", "--threads", threads, "--out", tmp_path / "out.safetensors")
         allowance = threads * 5 * (n_tasks + 1) * tensor_bytes
         assert allowance < n_tensors * tensor_bytes
-    assert allowance < (1 + n_tasks) * n_tensors * tensor_bytes
+    assert allowance < held + (1 + n_tasks) * n_tensors * tensor_bytes
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -760,3 +768,41 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
     finally:
         tracemalloc.stop()
     assert added_peak <= allowance
+
+
+OUTPUTS_GOLDEN = FIXTURES / "output_sha256.json"
+POOLINGS = ("avg", "random", "magmax")
+
+
+def output_digests(folder: Path) -> dict[str, str]:
+    """SHA-256 of every model and manifest that ``weave``, ``merge``, ``analyze sweep`` and ``deltas`` write
+    from the fixtures into ``folder``, by path relative to it.
+
+    Reports and the cosine JSON are left out: the report records a wall time, and cosine's float64 dot
+    products go through BLAS, whose summation order may differ between builds.
+    """
+    inputs = ("--pretrained", PRE, CARS, MNIST, HALF)
+    for method, params in MERGE_PARAMS.items():
+        for pooling in POOLINGS:
+            for deltas in ("--include-deltas", "--no-include-deltas"):
+                for threads in (1, 2):
+                    out = folder / f"weave-{method}-{pooling}-{deltas[2:]}-t{threads}.safetensors"
+                    argv = ("weave", "--method", method, *params, "--pooling", pooling, deltas, "--threads", threads)
+                    assert run(*argv, "--out", out, *inputs) == 0
+        merged = folder / f"merge-{method}.safetensors"
+        assert run("merge", "--method", method, "--lambda", "0.7", *params, "--out", merged, *inputs) == 0
+        sweep = folder / f"sweep-{method}"
+        assert run("analyze", "sweep", "--method", method, *params, "--out-dir", sweep, *inputs) == 0
+    assert run("deltas", "--out-dir", folder / "deltas", *inputs) == 0
+    return {
+        path.relative_to(folder).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(folder.rglob("*"))
+        if path.suffix == ".safetensors" or path.name == "manifest.json"
+    }
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    # after an intended change of output bytes, from the repository root:
+    # python -c "import json, pathlib, tempfile; from tests.test_cli import *; \
+    #   OUTPUTS_GOLDEN.write_text(json.dumps(output_digests(pathlib.Path(tempfile.mkdtemp())), indent=1) + '\n')"
+    assert output_digests(tmp_path) == json.loads(OUTPUTS_GOLDEN.read_text(encoding="utf-8"))

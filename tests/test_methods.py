@@ -380,6 +380,33 @@ def test_sweep_base_kernel_serves_only_builtins():
         sweep_base_kernel(lambda deltas, spec: ties(deltas, spec))
 
 
+METHOD_PARAMS = {
+    "task_arithmetic": {},
+    "dare": {"drop_rate": 0.5},
+    "ties": {"keep_fraction": 0.25},
+    "breadcrumbs": {"beta": 0.1, "gamma": 0.1},
+    "magmax": {},
+}
+
+
+@pytest.mark.parametrize("method,other", [(m, o) for m in METHOD_PARAMS for o in METHOD_PARAMS if m != o])
+def test_merge_function_refuses_a_spec_for_another_method(method, other):
+    # the spec picks the kernel, so a function given another method's spec would run that method
+    from tensorweave import SearchSpace, build_augmented
+
+    deltas = vecs([1.0, -2.0, 3.0], [0.5, 0.5, -1.0])
+    spec = MergeSpec(other, params=METHOD_PARAMS[other])
+    expected = f"merge function {method} was given a spec for method {other}"
+    with pytest.raises(ValueError) as excinfo:
+        registry_lookup(method)(deltas, spec)
+    assert str(excinfo.value) == expected
+    with pytest.raises(ValueError) as excinfo:
+        build_augmented(deltas, registry_lookup(method), spec, SearchSpace((0.5, 1.0)))
+    assert str(excinfo.value) == expected
+    with pytest.raises(ValueError, match="not a built-in merge function"):
+        build_augmented(deltas, lambda deltas, spec: ties(deltas, spec), spec, SearchSpace((1.0,)))
+
+
 def test_public_surface_is_fixed():
     import tensorweave
 

@@ -460,10 +460,9 @@ def test_weave_report_fields(rng):
 
 
 def test_weave_wall_time_includes_deltas(monkeypatch, rng):
-    import importlib
+    from tensorweave import vectors
 
-    weave_module = importlib.import_module("tensorweave.weave")  # the package re-exports a function of that name
-    real_task_delta = weave_module._task_delta
+    real_task_delta = vectors._task_delta
     calls = []
 
     def slow_task_delta(*args, **kwargs):
@@ -471,7 +470,7 @@ def test_weave_wall_time_includes_deltas(monkeypatch, rng):
         time.sleep(0.05)
         return real_task_delta(*args, **kwargs)
 
-    monkeypatch.setattr(weave_module, "_task_delta", slow_task_delta)
+    monkeypatch.setattr(vectors, "_task_delta", slow_task_delta)
     pre, finetuned = random_instance(rng, 2)
     _, report = weave(pre, finetuned, MergeSpec("task_arithmetic"))
     assert sorted(calls) == sorted((label, name) for label in ("task1", "task2") for name in pre)
@@ -503,6 +502,19 @@ def test_weave_overflowing_merged_delta_names_smallest_lambda(pooling, threads):
     with pytest.raises(CheckpointError) as excinfo:
         weave(pre, finetuned, MergeSpec("task_arithmetic"), space=space, pool_spec=PoolSpec(pooling=pooling),
               threads=threads)
+    assert str(excinfo.value) == "tensor 'b': merged delta at lambda 1.2 overflows float32"
+
+
+@pytest.mark.parametrize("path", ["build_augmented", "merge_function"])
+def test_whole_model_overflowing_merged_delta_names_smallest_lambda(path):
+    # the whole-model helpers build members through the same sweep core as weave, with the same rule
+    deltas = as_task_vectors([tmap(a=[1.0, 1.0], b=[1e38, 0.0]), tmap(a=[1.0, 1.0], b=[2e38, 0.0])])
+    with pytest.raises(CheckpointError) as excinfo:
+        if path == "build_augmented":
+            space = SearchSpace((0.5, 1.0, 1.2, 1.5, 2.0))
+            build_augmented(deltas, task_arithmetic, MergeSpec("task_arithmetic"), space)
+        else:
+            registry_lookup("task_arithmetic")(deltas, MergeSpec("task_arithmetic", lam=1.2))
     assert str(excinfo.value) == "tensor 'b': merged delta at lambda 1.2 overflows float32"
 
 
