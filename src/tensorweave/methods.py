@@ -1,7 +1,9 @@
 """The merge methods and their registry: the five built-ins are the full set.
 
-A merge function maps (task vectors, spec) to a single merged delta map;
-the spec's method selects the base kernel, so a function refuses a spec for
+A method is one record, and the record is its merge function: it maps
+(task vectors, spec) to a single merged delta map, and it holds the
+method's name, default factor range, base kernel and parameters. The
+spec's method selects the base kernel, so a function refuses a spec for
 another method. Every method works tensor by tensor, which the sweep engine
 relies on for streaming: merging a sub-map equals the sub-map of the full
 merge. ``_sweep`` alone runs kernels and makes merged deltas, for all callers.
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rng import stream_key, uniform01
+from .rng import _check_seed, stream_key, uniform01
 from .store import CheckpointError, TensorMap
 from .vectors import TaskVector, _check_deltas
 
@@ -55,9 +57,8 @@ class MergeSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be a positive finite scalar, got {self.lam}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        method = _method(self.method)
+        _check_seed(self.seed)
+        method = registry_lookup(self.method)
         unknown = sorted(self.params.keys() - method.params)
         if unknown:
             raise ValueError(f"{self.method} does not accept parameter(s): {', '.join(unknown)}")
@@ -104,7 +105,7 @@ def _sweep(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: Mer
     that overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        base = _method(spec.method).kernel(name, flats, indices, spec)
+        base = registry_lookup(spec.method).kernel(name, flats, indices, spec)
         top = (lambdas[-1] * base).astype(np.float32)
         if not np.isfinite(top).all():
             lam = next(lam for lam in lambdas if not np.isfinite((lam * base).astype(np.float32)).all())
@@ -112,11 +113,11 @@ def _sweep(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: Mer
     return top, itertools.chain(((lam * base).astype(np.float32) for lam in lambdas[:-1]), [top])
 
 
-def _member_maps(deltas: Sequence[TaskVector], method: str, spec: MergeSpec,
+def _member_maps(deltas: Sequence[TaskVector], method: _Method, spec: MergeSpec,
                  lambdas: Sequence[float]) -> list[TensorMap]:
     """The merged delta map at each factor in ``lambdas``, in order, by ``method``, which ``spec`` must be for."""
-    if spec.method != method:
-        raise ValueError(f"merge function {method} was given a spec for method {spec.method}")
+    if spec.method != method.name:
+        raise ValueError(f"merge function {method.name} was given a spec for method {spec.method}")
     _check_deltas([tv.delta for tv in deltas], "merge")
     indices = [tv.index for tv in deltas]
     per_tensor = {}
@@ -126,11 +127,40 @@ def _member_maps(deltas: Sequence[TaskVector], method: str, spec: MergeSpec,
     return [TensorMap({name: members[pos] for name, members in per_tensor.items()}) for pos in range(len(lambdas))]
 
 
+@dataclass(frozen=True, eq=False)
+class _Method:
+    """One merge method, called as its merge function: its name, default factor range, base kernel, parameters
+    (name -> meaning, the help of the CLI flag) and a check; like a function, it compares by identity.
+    """
+
+    name: str
+    lambda_range: tuple[float, float]
+    kernel: _BaseKernel
+    params: dict[str, str]
+    check: Callable[[MergeSpec], None] = lambda spec: None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "__doc__", self.kernel.__doc__)
+
+    def __call__(self, deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
+        return _member_maps(deltas, self, spec, (spec.lam,))[0]
+
+    def __reduce__(self) -> str:
+        return self.name
+
+
 def _ta_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
+    """lam * sum of the task vectors."""
     return _accumulate(flats)
 
 
 def _dare_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
+    """Per-element Bernoulli dropout with 1/(1-p) rescaling, then the scaled sum.
+
+    Each task vector is masked independently; draws come from
+    (seed, task index, tensor name, element index), so masks do not
+    depend on execution order.
+    """
     p = spec._require("drop_rate")
     inv_keep = 1.0 / (1.0 - p)
     masked = []
@@ -148,19 +178,10 @@ def _check_dare(spec: MergeSpec) -> None:
         raise ValueError(f"drop_rate must be in [0, 1), got {p}")
 
 
-def task_arithmetic(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
-    """lam * sum of the task vectors."""
-    return _member_maps(deltas, "task_arithmetic", spec, (spec.lam,))[0]
+task_arithmetic = _Method("task_arithmetic", (0.1, 1.0), _ta_base, {})
 
 
-def dare(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
-    """Per-element Bernoulli dropout with 1/(1-p) rescaling, then the scaled sum.
-
-    Each task vector is masked independently; draws come from
-    (seed, task index, tensor name, element index), so masks do not
-    depend on execution order.
-    """
-    return _member_maps(deltas, "dare", spec, (spec.lam,))[0]
+dare = _Method("dare", (0.1, 1.0), _dare_base, {"drop_rate": "drop probability in [0,1)"}, _check_dare)
 
 
 def _trim_count(fraction: float, size: int) -> int:
@@ -199,6 +220,13 @@ def _top_mask(mag: np.ndarray, count: int, ties_low: bool = True) -> np.ndarray:
 
 
 def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
+    """Trim to the top-k fraction by magnitude, elect a sign, merge agreeing values.
+
+    Per tensor: each task vector keeps its ceil(k*n) largest-magnitude
+    elements (ties keep the lower flat index). The elected sign per
+    element is the sign of the sum of trimmed values. The output is the
+    mean of trimmed values matching the elected sign, scaled by lam.
+    """
     k = spec._require("keep_fraction")
     keep = _trim_count(k, flats[0].size)
     trimmed = [np.where(_top_mask(np.abs(flat), keep), flat, np.float32(0.0)) for flat in flats]
@@ -224,18 +252,17 @@ def _check_ties(spec: MergeSpec) -> None:
         raise ValueError(f"keep_fraction must be in (0, 1], got {k}")
 
 
-def ties(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
-    """Trim to the top-k fraction by magnitude, elect a sign, merge agreeing values.
-
-    Per tensor: each task vector keeps its ceil(k*n) largest-magnitude
-    elements (ties keep the lower flat index). The elected sign per
-    element is the sign of the sum of trimmed values. The output is the
-    mean of trimmed values matching the elected sign, scaled by lam.
-    """
-    return _member_maps(deltas, "ties", spec, (spec.lam,))[0]
+ties = _Method("ties", (0.1, 1.5), _ties_base, {"keep_fraction": "kept fraction in (0,1]"}, _check_ties)
 
 
 def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
+    """Mask out the smallest and largest magnitudes, then the scaled sum.
+
+    Per task vector and tensor, floor(beta*n) smallest-magnitude and
+    floor(gamma*n) largest-magnitude elements are zeroed. Magnitude ties
+    drop the lower flat index first on the small side and the higher flat
+    index first on the large side.
+    """
     beta, gamma = spec._require("beta"), spec._require("gamma")
     size = flats[0].size
     n_small = int(math.floor(beta * size + 1e-9))
@@ -257,15 +284,8 @@ def _check_breadcrumbs(spec: MergeSpec) -> None:
         )
 
 
-def breadcrumbs(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
-    """Mask out the smallest and largest magnitudes, then the scaled sum.
-
-    Per task vector and tensor, floor(beta*n) smallest-magnitude and
-    floor(gamma*n) largest-magnitude elements are zeroed. Magnitude ties
-    drop the lower flat index first on the small side and the higher flat
-    index first on the large side.
-    """
-    return _member_maps(deltas, "breadcrumbs", spec, (spec.lam,))[0]
+breadcrumbs = _Method("breadcrumbs", (0.1, 1.0), _breadcrumbs_base, {"beta": "small-magnitude drop fraction",
+                      "gamma": "large-magnitude drop fraction"}, _check_breadcrumbs)
 
 
 def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
@@ -277,46 +297,17 @@ def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _magmax_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:
-    return _largest_magnitude(flats).astype(np.float64)
-
-
-def magmax(deltas: Sequence[TaskVector], spec: MergeSpec) -> TensorMap:
     """Per element, lam times the delta whose magnitude is largest.
 
     Magnitude ties select the smallest task index.
     """
-    return _member_maps(deltas, "magmax", spec, (spec.lam,))[0]
+    return _largest_magnitude(flats).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class _Method:
-    """One merge method: its function, default factor range, base kernel, parameters
-    (name -> meaning, the help of the CLI flag) and a check of their values.
-    """
-
-    fn: MergeFn
-    lambda_range: tuple[float, float]
-    kernel: _BaseKernel
-    params: dict[str, str]
-    check: Callable[[MergeSpec], None] = lambda spec: None
+magmax = _Method("magmax", (0.1, 1.0), _magmax_base, {})
 
 
-_REGISTRY: dict[str, _Method] = {
-    "task_arithmetic": _Method(task_arithmetic, (0.1, 1.0), _ta_base, {}),
-    "dare": _Method(dare, (0.1, 1.0), _dare_base, {"drop_rate": "drop probability in [0,1)"}, _check_dare),
-    "ties": _Method(ties, (0.1, 1.5), _ties_base, {"keep_fraction": "kept fraction in (0,1]"}, _check_ties),
-    "breadcrumbs": _Method(
-        breadcrumbs, (0.1, 1.0), _breadcrumbs_base,
-        {"beta": "small-magnitude drop fraction", "gamma": "large-magnitude drop fraction"}, _check_breadcrumbs,
-    ),
-    "magmax": _Method(magmax, (0.1, 1.0), _magmax_base, {}),
-}
-
-
-def _method(name: str) -> _Method:
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown merge method {name!r}; available: {', '.join(available_methods())}")
-    return _REGISTRY[name]
+_REGISTRY: dict[str, _Method] = {m.name: m for m in (task_arithmetic, dare, ties, breadcrumbs, magmax)}
 
 
 def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel:
@@ -325,21 +316,21 @@ def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel:
     Sweeps use it to evaluate the merge once per tensor and rescale per
     factor. Raises ValueError for any other function.
     """
-    return _REGISTRY[_method_of(merge_fn)].kernel
+    return _builtin(merge_fn).kernel
 
 
-def _method_of(merge_fn: MergeFn) -> str:
-    """The registry name of a built-in merge function; ValueError for any other function."""
-    for name, method in _REGISTRY.items():
-        if method.fn is merge_fn:
-            return name
-    raise ValueError(f"{merge_fn!r} is not a built-in merge function")
+def _builtin(merge_fn: MergeFn) -> _Method:
+    """A built-in merge function as its record; ValueError for any other function."""
+    if not (isinstance(merge_fn, _Method) and _REGISTRY.get(merge_fn.name) is merge_fn):
+        raise ValueError(f"{merge_fn!r} is not a built-in merge function")
+    return merge_fn
 
 
 def registry_lookup(name: str) -> MergeFn:
-    return _method(name).fn
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown merge method {name!r}; available: {', '.join(available_methods())}")
+    return _REGISTRY[name]
 
 
 def available_methods() -> list[str]:
     return sorted(_REGISTRY)
-

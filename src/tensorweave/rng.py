@@ -15,6 +15,8 @@ Lanes separate consumers sharing a seed: per-task-vector dropout uses the
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = ["stream_key", "uniform01"]
@@ -40,10 +42,14 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
 def stream_key(seed: int, tensor_name: str, lane: int = 0) -> int:
     """Derive the 64-bit stream key for one (seed, tensor, lane) triple."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    _check_seed(seed)
     if lane < 0:
         raise ValueError(f"lane must be non-negative, got {lane}")
     key = _mix64((seed + _GOLDEN) & _MASK64)

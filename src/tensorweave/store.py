@@ -247,7 +247,7 @@ def _parse_header(path, handle) -> tuple[int, dict[str, _Entry], dict[str, str]]
     """The payload start, the entries in payload order and the metadata of an open checkpoint.
 
     Every check but the values: the length prefix, the header JSON, each
-    entry, each span's size and bounds, and overlaps.
+    entry, each span's size and bounds, and that the spans tile the payload.
     """
     size = os.fstat(handle.fileno()).st_size
     if size < 8:
@@ -285,10 +285,16 @@ def _parse_header(path, handle) -> tuple[int, dict[str, _Entry], dict[str, str]]
             raise CheckpointError(f"{path}: tensor {name!r}: data_offsets out of bounds")
         spans.append((begin, end, name, dtype, shape))
 
-    spans.sort()
-    for (b0, e0, n0, *_), (b1, e1, n1, *_) in zip(spans, spans[1:]):
-        if b1 < e0:
-            raise CheckpointError(f"{path}: tensors {n0!r} and {n1!r} have overlapping data_offsets")
+    spans.sort()  # by begin, then end: zero-size tensors come before the tensor that starts at their offset
+    # the spans must tile the payload: each begins where the one before it (or the payload) ends
+    for (_, cursor, previous, *_), (begin, _, name, *_) in zip([(0, 0, None)] + spans, spans):
+        if begin < cursor:
+            raise CheckpointError(f"{path}: tensors {previous!r} and {name!r} have overlapping data_offsets")
+        if begin > cursor:
+            raise CheckpointError(f"{path}: tensor {name!r}: {begin - cursor} unused payload bytes before its data")
+    unused = size - 8 - header_len - (spans[-1][1] if spans else 0)
+    if unused:
+        raise CheckpointError(f"{path}: {unused} unused payload bytes after the last tensor")
     entries = {name: _Entry(dtype, tuple(shape), begin) for begin, _, name, dtype, shape in spans}
     return 8 + header_len, entries, metadata
 
@@ -297,8 +303,8 @@ def read_checkpoint(path: str | Path) -> TensorMap:
     """Load a checkpoint file into a TensorMap.
 
     F16 payloads widen to float32; the stored dtype is kept per tensor.
-    Raises CheckpointError on malformed headers, overlapping or
-    out-of-bounds offsets, unsupported dtypes, and non-finite values.
+    Raises CheckpointError on malformed headers, overlapping or out-of-bounds
+    offsets, payload bytes no tensor indexes, unsupported dtypes, and non-finite values.
     """
     with _Reader(path) as reader:
         return TensorMap({name: reader.tensor(name) for name in reader._entries}, metadata=reader.metadata)

@@ -122,12 +122,8 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
     defined as 1.
     """
     _check_deltas([tv.delta for tv in vectors], "cosine_matrix")
-    flats = [
-        np.concatenate([tv.delta.array(name).ravel() for name in tv.delta] or [np.zeros(0)]).astype(
-            np.float64
-        )
-        for tv in vectors
-    ]
+    flats = [np.concatenate([tv.delta.array(name).ravel() for name in tv.delta] or [np.zeros(0)], dtype=np.float64)
+             for tv in vectors]
     norms = [float(np.sqrt(np.dot(f, f))) for f in flats]
 
     n = len(vectors)

@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .methods import MergeSpec, _accumulate, _largest_magnitude, _member_maps, _method, _method_of, _sweep
-from .rng import stream_key, uniform01
+from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
+from .rng import _check_seed, stream_key, uniform01
 from .store import Tensor, TensorMap, _stream
 from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 
@@ -102,7 +102,7 @@ def _spaced(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 def default_search_space(method: str) -> SearchSpace:
     """The method's default sweep: its registered range at step 0.1."""
-    start, stop = _method(method).lambda_range
+    start, stop = registry_lookup(method).lambda_range
     return SearchSpace(_spaced(start, stop, _DEFAULT_STEP))
 
 
@@ -122,8 +122,7 @@ class PoolSpec:
     def __post_init__(self) -> None:
         if self.pooling not in _POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}; available: {', '.join(_POOLINGS)}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ def build_augmented(
     Each merge evaluates its factor-free part once per tensor and
     rescales; the result is identical to merging from scratch per factor.
     """
-    return _member_maps(deltas, _method_of(merge_fn), spec_template, space.lambdas)
+    return _member_maps(deltas, _builtin(merge_fn), spec_template, space.lambdas)
 
 
 def _pool_flat(name: str, flats: Iterable[np.ndarray], count: int, pooling: str, seed: int) -> np.ndarray:
@@ -231,6 +230,8 @@ def weave(
 def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template: MergeSpec, space: SearchSpace | None,
            pool_spec: PoolSpec | None, labels: Sequence[str] | None, threads: int, sink) -> WeaveReport:
     """``weave``, giving each tensor to ``sink(name, tensor)`` in name order; the report's time includes the sink's."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
     started = time.perf_counter()
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()

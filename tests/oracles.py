@@ -4,10 +4,16 @@ Everything here works one parameter at a time with plain Python floats
 (IEEE-754 double), casting to float32 exactly where the library's
 arithmetic model rounds, so comparisons can demand bit equality. The
 draw scheme is re-derived from its stated definition with Python
-integers rather than vectorized uint64 math.
+integers rather than vectorized uint64 math, and the checkpoint container
+is read from its format definition with ``struct`` and ``json``.
 """
 
 from __future__ import annotations
+
+import json
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +59,72 @@ def half_to_float(bits: int) -> float:
     if exponent == 0x1F:
         return sign * float("inf") if fraction == 0 else float("nan")
     return sign * (1.0 + fraction / 1024.0) * 2.0 ** (exponent - 15)
+
+
+def read_reference(path) -> tuple[dict[str, tuple[str, tuple[int, ...], np.ndarray]], dict[str, str]]:
+    """A checkpoint's tensors (name -> stored dtype, shape, float32 values) and its metadata.
+
+    Read from the container's definition: a little-endian u64 header
+    length, a UTF-8 JSON header, then a payload that the header's
+    ``data_offsets`` index entirely, each byte by exactly one tensor. It
+    applies the package's documented limits too: F32 and F16 only, a header
+    of at most 100 MB with unique keys, string-to-string metadata and
+    finite values. Any violation is a ValueError.
+    """
+    data = Path(path).read_bytes()
+    if len(data) < 8:
+        raise ValueError("file shorter than the length prefix")
+    (header_len,) = struct.unpack_from("<Q", data)
+    if header_len > 100_000_000 or 8 + header_len > len(data):
+        raise ValueError(f"header length {header_len} out of range")
+
+    def unique(pairs):
+        if len({key for key, _ in pairs}) != len(pairs):
+            raise ValueError("duplicate header key")
+        return dict(pairs)
+
+    header = json.loads(data[8 : 8 + header_len].decode("utf-8"), object_pairs_hook=unique)
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    metadata = header.pop("__metadata__", {})
+    if not isinstance(metadata, dict) or not all(isinstance(value, str) for value in metadata.values()):
+        raise ValueError("metadata must map strings to strings")
+
+    payload = data[8 + header_len :]
+    itemsize = {"F32": 4, "F16": 2}
+    entries = []
+    for name, info in header.items():
+        if not isinstance(info, dict) or info.get("dtype") not in itemsize:
+            raise ValueError(f"{name}: not an entry of a supported dtype")
+        shape, offsets = info.get("shape"), info.get("data_offsets")
+        if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+            raise ValueError(f"{name}: bad shape")
+        if not (isinstance(offsets, list) and len(offsets) == 2 and all(type(o) is int for o in offsets)
+                and 0 <= offsets[0] <= offsets[1]):
+            raise ValueError(f"{name}: bad data_offsets")
+        if offsets[1] - offsets[0] != math.prod(shape) * itemsize[info["dtype"]]:
+            raise ValueError(f"{name}: data_offsets do not match the shape")
+        entries.append((offsets[0], offsets[1], name, info["dtype"], tuple(shape)))
+
+    position = 0
+    for begin, end, name, *_ in sorted(entries):
+        if begin != position:
+            raise ValueError(f"{name}: payload not entirely indexed")
+        position = end
+    if position != len(payload):
+        raise ValueError("payload not entirely indexed")
+
+    tensors = {}
+    for begin, end, name, dtype, shape in entries:
+        raw = payload[begin:end]
+        if dtype == "F32":
+            values = list(struct.unpack(f"<{len(raw) // 4}f", raw))
+        else:
+            values = [half_to_float(bits) for bits in struct.unpack(f"<{len(raw) // 2}H", raw)]
+        if not all(math.isfinite(value) for value in values):
+            raise ValueError(f"{name}: non-finite value")
+        tensors[name] = (dtype, shape, np.array(values, dtype=np.float32).reshape(shape))
+    return tensors, metadata
 
 
 def f32(value: float) -> float:

@@ -734,8 +734,8 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
     # deltas holds one tensor's pre-trained values and task vectors at a time. Loaded whole, the inputs
     # alone would take (1 + tasks) x the model, and weave's output held whole one model, beyond every
     # allowance. weave's model has more, smaller tensors (64, not 16), so one output model outweighs its working set.
-    # cosine --pretrained must hold the task vectors, their float64 flats and one float32 concatenation
-    # ((3 x tasks + 1) models), but its inputs only tensor by tensor, not whole beside them
+    # cosine --pretrained must hold the task vectors and their float64 flats (3 x tasks models), concatenated
+    # straight to float64, but its inputs only tensor by tensor, not whole beside them
     gen = np.random.default_rng(3)
     shape, n_tensors, n_tasks = ((128, 128), 64, 3) if command.startswith("weave") else ((256, 256), 16, 3)
     paths = [tmp_path / f"m{i}.safetensors" for i in range(1 + n_tasks)]
@@ -752,8 +752,8 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
         allowance = 2 * (n_tasks + 1) * tensor_bytes
     elif command == "cosine":
         argv = ("analyze", "cosine", "--out", tmp_path / "cosine.json")
-        held = (3 * n_tasks + 1) * n_tensors * tensor_bytes
-        allowance = held + 5 * (n_tasks + 1) * tensor_bytes
+        held = 3 * n_tasks * n_tensors * tensor_bytes
+        allowance = held + 2 * (n_tasks + 1) * tensor_bytes
     else:
         threads = 2 if command == "weave-threads2" else 1
         argv = ("weave", "--method", "task_arithmetic", "--threads", threads, "--out", tmp_path / "out.safetensors")

@@ -1,3 +1,7 @@
+import copy
+import inspect
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,6 +382,50 @@ def test_sweep_base_kernel_serves_only_builtins():
         assert sweep_base_kernel(registry_lookup(name)) is _REGISTRY[name].kernel
     with pytest.raises(ValueError, match="not a built-in merge function"):
         sweep_base_kernel(lambda deltas, spec: ties(deltas, spec))
+
+
+# each method's description, as its merge function's docstring gives it
+METHOD_DOCS = {
+    "task_arithmetic": "lam * sum of the task vectors.",
+    "dare": (
+        "Per-element Bernoulli dropout with 1/(1-p) rescaling, then the scaled sum.\n\n"
+        "Each task vector is masked independently; draws come from\n"
+        "(seed, task index, tensor name, element index), so masks do not\n"
+        "depend on execution order."
+    ),
+    "ties": (
+        "Trim to the top-k fraction by magnitude, elect a sign, merge agreeing values.\n\n"
+        "Per tensor: each task vector keeps its ceil(k*n) largest-magnitude\n"
+        "elements (ties keep the lower flat index). The elected sign per\n"
+        "element is the sign of the sum of trimmed values. The output is the\n"
+        "mean of trimmed values matching the elected sign, scaled by lam."
+    ),
+    "breadcrumbs": (
+        "Mask out the smallest and largest magnitudes, then the scaled sum.\n\n"
+        "Per task vector and tensor, floor(beta*n) smallest-magnitude and\n"
+        "floor(gamma*n) largest-magnitude elements are zeroed. Magnitude ties\n"
+        "drop the lower flat index first on the small side and the higher flat\n"
+        "index first on the large side."
+    ),
+    "magmax": (
+        "Per element, lam times the delta whose magnitude is largest.\n\n"
+        "Magnitude ties select the smallest task index."
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_DOCS))
+def test_a_merge_method_is_its_merge_function(name):
+    # the registry record is the public function: documented, called, pickled and hashed as a function is
+    import tensorweave
+
+    fn = registry_lookup(name)
+    assert fn is getattr(tensorweave, name)
+    assert inspect.getdoc(fn) == METHOD_DOCS[name]
+    assert list(inspect.signature(fn).parameters) == ["deltas", "spec"]
+    assert pickle.loads(pickle.dumps(fn)) is fn
+    assert copy.copy(fn) is fn and copy.deepcopy(fn) is fn
+    assert {fn: name}[fn] == name
 
 
 METHOD_PARAMS = {

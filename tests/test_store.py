@@ -26,6 +26,7 @@ from tensorweave import (
 from tensorweave.cli import main
 
 from .conftest import FIXTURES
+from . import oracles
 from .oracles import half_to_float
 
 
@@ -247,6 +248,92 @@ def test_overlapping_offsets(tmp_path):
     )
     with pytest.raises(CheckpointError, match="overlap"):
         read_checkpoint(target)
+
+
+@pytest.mark.parametrize(
+    "entries, payload, message",
+    [
+        ({"a": [0, 4], "b": [8, 12]}, 12, "tensor 'b': 4 unused payload bytes before its data"),
+        ({"a": [4, 8]}, 8, "tensor 'a': 4 unused payload bytes before its data"),
+        ({"a": [0, 4]}, 7, "3 unused payload bytes after the last tensor"),
+        ({}, 1, "1 unused payload bytes after the last tensor"),
+    ],
+    ids=["gap", "leading-gap", "trailing", "trailing-no-tensor"],
+)
+def test_payload_must_be_entirely_indexed(tmp_path, capsys, entries, payload, message):
+    # the format requires every payload byte to belong to a tensor, as the reference library enforces
+    target = tmp_path / "holes.safetensors"
+    header = {name: {"dtype": "F32", "shape": [(end - begin) // 4], "data_offsets": [begin, end]}
+              for name, (begin, end) in entries.items()}
+    build_file(target, header, b"\x00" * payload)
+    with pytest.raises(CheckpointError) as caught:
+        read_checkpoint(target)
+    assert str(caught.value) == f"{target}: {message}"
+    assert main(["inspect", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {caught.value}"]
+
+
+def test_zero_size_tensors_may_share_an_offset(tmp_path):
+    target = tmp_path / "empty.safetensors"
+    build_file(
+        target,
+        {
+            "a": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+            "b": {"dtype": "F32", "shape": [0], "data_offsets": [4, 4]},
+            "c": {"dtype": "F16", "shape": [2, 0], "data_offsets": [4, 4]},
+            "d": {"dtype": "F32", "shape": [0], "data_offsets": [0, 0]},
+            "e": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]},
+        },
+        struct.pack("<2f", 1.5, -2.0),
+    )
+    loaded = read_checkpoint(target)
+    assert {name: loaded[name].shape for name in loaded} == {"a": (1,), "b": (0,), "c": (2, 0), "d": (0,), "e": (1,)}
+    assert loaded.array("e").tolist() == [-2.0]
+
+
+FIXTURE_FILES = sorted(FIXTURES.glob("*.safetensors"))
+# bytes that keep a JSON header well formed more often than a random byte does
+JSON_BYTES = st.sampled_from(b'0123456789 ,:[]{}"')
+
+
+@st.composite
+def mutated_fixture(draw) -> bytes:
+    """A committed fixture with one byte changed (in the header half of the time), truncated, or extended."""
+    data = bytearray(draw(st.sampled_from(FIXTURE_FILES)).read_bytes())
+    kind = draw(st.sampled_from(["byte", "truncate", "append"]))
+    if kind == "byte":
+        header_end = 8 + struct.unpack_from("<Q", data)[0]
+        at = draw(st.integers(0, header_end - 1) | st.integers(0, len(data) - 1))
+        data[at] = draw((st.integers(0, 255) | JSON_BYTES).filter(lambda byte: byte != data[at]))
+    elif kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    else:
+        data += draw(st.binary(min_size=1, max_size=16))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_fixture())
+def test_reader_agrees_with_the_reference_reader_on_mutated_fixtures(tmp_path_factory, data):
+    # the reader either refuses a file with a CheckpointError, as the reference refuses it, or loads the
+    # names, stored dtypes, shapes, value bits and metadata that the reference loads
+    target = tmp_path_factory.getbasetemp() / "mutated.safetensors"
+    target.write_bytes(data)
+    try:
+        with store._Reader(target) as reader:
+            loaded = {name: reader.tensor(name) for name in reader.names}
+    except CheckpointError:
+        with pytest.raises(ValueError):
+            oracles.read_reference(target)
+        return
+    tensors, metadata = oracles.read_reference(target)
+    assert reader.metadata == metadata
+    assert sorted(loaded) == sorted(tensors)
+    for name, (dtype, shape, values) in tensors.items():
+        assert (loaded[name].stored_dtype, loaded[name].shape) == (dtype, shape)
+        assert loaded[name].values.tobytes() == values.tobytes()
 
 
 def test_out_of_bounds_offsets(tmp_path):

@@ -27,6 +27,8 @@ from tensorweave import (
     write_checkpoint,
 )
 
+from tensorweave.rng import stream_key
+
 from .conftest import as_task_vectors, map_to_lists, random_instance, random_map
 from . import oracles
 
@@ -101,6 +103,32 @@ def test_pool_spec_validation():
         PoolSpec(pooling="median")
     with pytest.raises(ValueError, match="seed"):
         PoolSpec(seed=-3)
+
+
+def _weave_small(threads):
+    return weave(tmap(w=[1.0, 2.0]), [tmap(w=[2.0, 0.0])], MergeSpec("task_arithmetic"), threads=threads)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MergeSpec("dare", params={"drop_rate": 0.5}, seed=1.5), "seed must be an unsigned 64-bit integer"),
+        (lambda: MergeSpec("task_arithmetic", seed=True), "seed must be an unsigned 64-bit integer"),
+        (lambda: MergeSpec("task_arithmetic", seed=1 << 64), "seed must be an unsigned 64-bit integer"),
+        (lambda: PoolSpec("random", seed=2.5), "seed must be an unsigned 64-bit integer"),
+        (lambda: stream_key(1.5, "w"), "seed must be an unsigned 64-bit integer"),
+        (lambda: _weave_small(1.5), "threads must be a positive integer, got 1.5"),
+        (lambda: _weave_small(True), "threads must be a positive integer, got True"),
+        (lambda: _weave_small(0), "threads must be a positive integer, got 0"),
+    ],
+    ids=["merge-float", "merge-bool", "merge-2**64", "pool-float", "stream-key-float", "threads-float",
+         "threads-bool", "threads-zero"],
+)
+def test_seeds_and_thread_counts_must_be_integers(call, message):
+    # refused where they enter: unchecked, a float seed fails inside the draws, a bool runs as 0 or 1,
+    # and a float thread count runs
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ------------------------------------------------------------ build_augmented
