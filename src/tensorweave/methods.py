@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -55,7 +56,7 @@ class MergeSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0):
+        if not (_is_finite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be a positive finite scalar, got {self.lam}")
         _check_seed(self.seed)
         method = registry_lookup(self.method)
@@ -67,13 +68,23 @@ class MergeSpec:
     def _require(self, key: str) -> float:
         if key not in self.params:
             raise ValueError(f"{self.method} requires parameter {key!r}")
-        value = float(self.params[key])
-        if not math.isfinite(value):
+        value = self.params[key]
+        if not _is_finite(value):
             raise ValueError(f"{key} must be finite, got {value}")
-        return value
+        return float(value)
 
     def to_json_dict(self) -> dict:
         return {"method": self.method, "lambda": self.lam, "params": dict(self.params), "seed": self.seed}
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a real number that is finite as a float; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:

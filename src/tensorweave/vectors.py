@@ -124,9 +124,37 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
     _check_deltas([tv.delta for tv in vectors], "cosine_matrix")
     flats = [np.concatenate([tv.delta.array(name).ravel() for name in tv.delta] or [np.zeros(0)], dtype=np.float64)
              for tv in vectors]
+    return _cosine([tv.source_name for tv in vectors], flats)
+
+
+def _flat_task_vectors(pretrained: TensorMap, finetuned: Sequence[TensorMap],
+                       labels: Sequence[str] | None) -> tuple[list[str], list[np.ndarray]]:
+    """The checked labels, and each checkpoint's task vector as ``cosine_matrix`` flattens it, in float64.
+
+    Inputs are read by ``.array(name)`` only, so checkpoint readers serve.
+    Each flat is filled tensor by tensor, so no float32 task vector
+    outlives its tensor; widening float32 to float64 is exact.
+    """
+    labels = _task_labels(pretrained, finetuned, labels)
+    spans, end = {}, 0
+    for name, entry in pretrained.items():
+        spans[name] = slice(end, end + entry.size)
+        end += entry.size
+    flats = [np.empty(end, dtype=np.float64) for _ in labels]
+
+    def filler(flat: np.ndarray):
+        return lambda name, tensor: flat.__setitem__(spans[name], tensor.values.ravel())
+
+    _stream(pretrained.names, lambda name: _task_vectors(name, pretrained.array(name), finetuned, labels),
+            [filler(flat) for flat in flats])
+    return labels, flats
+
+
+def _cosine(labels: Sequence[str], flats: Sequence[np.ndarray]) -> SimilarityMatrix:
+    """Cosine similarity between every pair of flat float64 task vectors, labelled in order."""
     norms = [float(np.sqrt(np.dot(f, f))) for f in flats]
 
-    n = len(vectors)
+    n = len(flats)
     values = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         values[i, i] = 1.0
@@ -139,6 +167,6 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
             values[i, j] = values[j, i] = sim
 
     return SimilarityMatrix(
-        labels=tuple(tv.source_name for tv in vectors),
+        labels=tuple(labels),
         values=tuple(tuple(float(v) for v in row) for row in values),
     )

@@ -64,6 +64,24 @@ def test_spec_validation():
         MergeSpec("ties", params={"keep_fraction": 0.5, "beta": 0.1})
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"method": "task_arithmetic", "lam": True}, "lambda must be a positive finite scalar"),
+        ({"method": "task_arithmetic", "lam": "1"}, "lambda must be a positive finite scalar"),
+        ({"method": "ties", "params": {"keep_fraction": True}}, "keep_fraction must be finite"),
+        ({"method": "dare", "params": {"drop_rate": "0.5"}}, "drop_rate must be finite"),
+        ({"method": "task_arithmetic", "lam": 10**400}, "lambda must be a positive finite scalar"),
+    ],
+    ids=["bool-lambda", "str-lambda", "bool-param", "str-param", "huge-int-lambda"],
+)
+def test_spec_refuses_a_bool_or_a_non_number(kwargs, message):
+    # a bool is an int to Python, float() reads a numeric string, and an integer may not fit a float:
+    # none of them may pass as a finite number
+    with pytest.raises(ValueError, match=message):
+        MergeSpec(**kwargs)
+
+
 def test_spec_json_round_trip():
     spec = MergeSpec("dare", lam=0.7, params={"drop_rate": 0.5}, seed=9)
     payload = spec.to_json_dict()
