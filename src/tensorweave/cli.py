@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_emit
 from .methods import _REGISTRY, MergeSpec, available_methods
-from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _stream, _write_text, _Writer, read_checkpoint
+from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _stream, _write_text, _Writer
 from .vectors import TaskVector, _cosine, _flat_task_vectors, _task_labels, _task_vectors, cosine_matrix
 from .weave import PoolSpec, SearchSpace, _weave, default_search_space
 
@@ -236,14 +236,12 @@ def _cmd_weave(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_cosine(args: argparse.Namespace) -> int:
-    if args.pretrained is not None:
-        with contextlib.ExitStack() as stack:  # the flats are filled tensor by tensor from the open readers
+    with contextlib.ExitStack() as stack:  # the flats are filled tensor by tensor from the open readers
+        if args.pretrained is not None:
             matrix = _cosine(*_flat_task_vectors(*_read_inputs(args.pretrained, args.inputs, stack)))
-    else:
-        matrix = cosine_matrix([
-            TaskVector(read_checkpoint(path), source_name=Path(path).stem, index=pos + 1)
-            for pos, path in enumerate(args.inputs)
-        ])
+        else:
+            matrix = cosine_matrix([TaskVector(stack.enter_context(_Reader(path)), Path(path).stem, pos)
+                                    for pos, path in enumerate(args.inputs, start=1)])
     _emit_json(matrix.to_json(), args.out)
     return 0
 
@@ -303,9 +301,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    level = getattr(logging, args.log_level.upper(), None)  # a level is an int: logging.BASIC_FORMAT is not one
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, args.log_level.upper(), logging.WARNING),
+        level=level if type(level) is int else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     command = _COMMANDS[(args.command, getattr(args, "analysis", None))]

@@ -174,13 +174,11 @@ def _dare_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     """
     p = spec._require("drop_rate")
     inv_keep = 1.0 / (1.0 - p)
-    masked = []
-    for index, flat in zip(indices, flats):
-        draws = uniform01(stream_key(spec.seed, name, lane=index), flat.size)
-        masked.append(
-            np.where(draws >= p, flat.astype(np.float64) * inv_keep, 0.0).astype(np.float32)
-        )
-    return _accumulate(masked)
+    return _accumulate(  # one masked task vector at a time
+        np.where(uniform01(stream_key(spec.seed, name, lane=index), flat.size) >= p,
+                 flat.astype(np.float64) * inv_keep, 0.0).astype(np.float32)
+        for index, flat in zip(indices, flats)
+    )
 
 
 def _check_dare(spec: MergeSpec) -> None:
@@ -278,12 +276,11 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
     size = flats[0].size
     n_small = int(math.floor(beta * size + 1e-9))
     n_large = int(math.floor(gamma * size + 1e-9))
-    masked = []
-    for flat in flats:
+
+    def masked(flat: np.ndarray) -> np.ndarray:
         mag = np.abs(flat)
-        dropped = _top_mask(-mag, n_small) | _top_mask(mag, n_large, ties_low=False)
-        masked.append(np.where(dropped, np.float32(0.0), flat))
-    return _accumulate(masked)
+        return np.where(_top_mask(-mag, n_small) | _top_mask(mag, n_large, ties_low=False), np.float32(0.0), flat)
+    return _accumulate(map(masked, flats))  # one masked task vector at a time
 
 
 def _check_breadcrumbs(spec: MergeSpec) -> None:

@@ -262,7 +262,7 @@ def _parse_header(path, handle) -> tuple[int, dict[str, _Entry], dict[str, str]]
     try:
         text = handle.read(header_len).decode("utf-8")
         header = json.loads(text, object_pairs_hook=lambda pairs: _unique(path, pairs))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, or an integer too long
         raise CheckpointError(f"{path}: malformed header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: malformed header JSON: top level must be an object")

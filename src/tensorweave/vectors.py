@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,35 +119,39 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
 
     Each vector flattens to one long array in canonical tensor order.
     A zero vector has similarity 0 with everything; its diagonal entry is
-    defined as 1.
+    defined as 1. Deltas are read by ``.array(name)`` only, so checkpoint
+    readers serve, and each is read one tensor at a time.
     """
     _check_deltas([tv.delta for tv in vectors], "cosine_matrix")
-    flats = [np.concatenate([tv.delta.array(name).ravel() for name in tv.delta] or [np.zeros(0)], dtype=np.float64)
-             for tv in vectors]
+    flats = _fill_flats(vectors[0].delta, lambda name: (tv.delta.array(name) for tv in vectors), len(vectors))
     return _cosine([tv.source_name for tv in vectors], flats)
 
 
 def _flat_task_vectors(pretrained: TensorMap, finetuned: Sequence[TensorMap],
                        labels: Sequence[str] | None) -> tuple[list[str], list[np.ndarray]]:
-    """The checked labels, and each checkpoint's task vector as ``cosine_matrix`` flattens it, in float64.
-
-    Inputs are read by ``.array(name)`` only, so checkpoint readers serve.
-    Each flat is filled tensor by tensor, so no float32 task vector
-    outlives its tensor; widening float32 to float64 is exact.
-    """
+    """The checked labels, and each checkpoint's task vector as ``cosine_matrix`` flattens it; readers serve."""
     labels = _task_labels(pretrained, finetuned, labels)
+    return labels, _fill_flats(pretrained, lambda name: (
+        t.values for t in _task_vectors(name, pretrained.array(name), finetuned, labels)), len(labels))
+
+
+def _fill_flats(model: TensorMap, produce: Callable[[str], Iterable[np.ndarray]], count: int) -> list[np.ndarray]:
+    """``count`` float64 flats, each tensor of ``model`` spanning its size in name order, filled tensor by tensor:
+    ``produce(name)`` gives each flat's float32 values of that tensor, so no float32 input outlives its tensor.
+
+    Widening float32 to float64 is exact, so a flat holds the concatenated values bit for bit.
+    """
     spans, end = {}, 0
-    for name, entry in pretrained.items():
+    for name, entry in model.items():
         spans[name] = slice(end, end + entry.size)
         end += entry.size
-    flats = [np.empty(end, dtype=np.float64) for _ in labels]
+    flats = [np.empty(end, dtype=np.float64) for _ in range(count)]
 
     def filler(flat: np.ndarray):
-        return lambda name, tensor: flat.__setitem__(spans[name], tensor.values.ravel())
+        return lambda name, values: flat.__setitem__(spans[name], values.ravel())
 
-    _stream(pretrained.names, lambda name: _task_vectors(name, pretrained.array(name), finetuned, labels),
-            [filler(flat) for flat in flats])
-    return labels, flats
+    _stream(model.names, produce, [filler(flat) for flat in flats])
+    return flats
 
 
 def _cosine(labels: Sequence[str], flats: Sequence[np.ndarray]) -> SimilarityMatrix:

@@ -20,12 +20,15 @@ from tensorweave import (
     MergeSpec,
     PoolSpec,
     SearchSpace,
+    TaskVector,
     TensorMap,
     add,
     compute_deltas,
+    cosine_matrix,
     read_checkpoint,
     registry_lookup,
     store,
+    vectors,
     weave,
     write_checkpoint,
 )
@@ -708,6 +711,15 @@ def test_help_matches_golden():
     assert cli_help_text() == HELP_GOLDEN.read_text(encoding="utf-8")
 
 
+def test_log_level_that_names_no_level_falls_back_to_warning():
+    # logging.BASIC_FORMAT is a format string, not a level, and basicConfig would raise on it outside main's
+    # error handling; only a fresh process shows it, since basicConfig does nothing once the root logger has handlers
+    argv = [sys.executable, "-m", "tensorweave.cli", "--log-level", "basic_format", "inspect", str(PRE)]
+    result = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith(" elements\n")
+
+
 MERGE_PARAMS = {
     "task_arithmetic": (),
     "dare": ("--drop-rate", "0.3", "--seed", "7"),
@@ -735,20 +747,28 @@ def test_merge_writes_the_sweep_file_of_its_lambda(tmp_path, method, half_role):
     assert ("dtype.head.weight" in read_checkpoint(merged).metadata) == (half_role == "pretrained")
 
 
-@pytest.mark.parametrize("command", ["merge", "deltas", "weave", "weave-threads2", "cosine"])
+def random_checkpoints(folder: Path, count: int, shape: tuple[int, int], n_tensors: int) -> list[Path]:
+    """``count`` checkpoints of ``n_tensors`` random float32 tensors of ``shape``, from one fixed seed."""
+    gen = np.random.default_rng(3)
+    paths = [folder / f"m{i}.safetensors" for i in range(count)]
+    for path in paths:
+        write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32)
+                                    for i in range(n_tensors)}), path)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["merge", "deltas", "weave", "weave-threads2", "cosine", "cosine-deltas"])
 def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
     # merge holds a small multiple of (tasks + 1) x the tensor in flight, and weave that per worker thread;
     # deltas holds one tensor's pre-trained values and task vectors at a time. Loaded whole, the inputs
     # alone would take (1 + tasks) x the model, and weave's output held whole one model, beyond every
     # allowance. weave's model has more, smaller tensors (64, not 16), so one output model outweighs its working set.
-    # cosine --pretrained must hold each task vector's float64 flat (2 x tasks models), but it fills them tensor
-    # by tensor from its inputs, so neither the inputs nor the float32 task vectors are ever whole beside them
-    gen = np.random.default_rng(3)
+    # cosine must hold each task vector's float64 flat (2 x tasks models), but it fills them tensor by tensor,
+    # from fine-tuned files with --pretrained and from delta files without, so neither its inputs nor the
+    # float32 task vectors are ever whole beside them
     shape, n_tensors, n_tasks = ((128, 128), 64, 3) if command.startswith("weave") else ((256, 256), 16, 3)
-    paths = [tmp_path / f"m{i}.safetensors" for i in range(1 + n_tasks)]
-    for path in paths:
-        write_checkpoint(TensorMap({f"t{i:02d}": gen.normal(size=shape).astype(np.float32)
-                                    for i in range(n_tensors)}), path)
+    paths = random_checkpoints(tmp_path, n_tasks + (command != "cosine-deltas"), shape, n_tensors)
+    inputs = paths if command == "cosine-deltas" else ("--pretrained", paths[0], *paths[1:])
     tensor_bytes = shape[0] * shape[1] * 4
     held = 0  # what the command holds whatever way it reads its inputs
     if command == "merge":
@@ -757,7 +777,7 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
     elif command == "deltas":
         argv = ("deltas", "--out-dir", tmp_path / "deltas")
         allowance = 2 * (n_tasks + 1) * tensor_bytes
-    elif command == "cosine":
+    elif command.startswith("cosine"):
         argv = ("analyze", "cosine", "--out", tmp_path / "cosine.json")
         held = 2 * n_tasks * n_tensors * tensor_bytes
         allowance = held + 2 * (n_tasks + 1) * tensor_bytes
@@ -766,15 +786,41 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
         argv = ("weave", "--method", "task_arithmetic", "--threads", threads, "--out", tmp_path / "out.safetensors")
         allowance = threads * 5 * (n_tasks + 1) * tensor_bytes
         assert allowance < n_tensors * tensor_bytes
-    assert allowance < held + (1 + n_tasks) * n_tensors * tensor_bytes
+    assert allowance < held + len(paths) * n_tensors * tensor_bytes
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert run(*argv, "--pretrained", paths[0], *paths[1:]) == 0
+        assert run(*argv, *inputs) == 0
         added_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert added_peak <= allowance
+
+
+def concatenated_cosine_json(maps: list[TensorMap], labels: list[str]) -> str:
+    """The cosine JSON of whole loaded maps, each flattened by ``np.concatenate`` in name order."""
+    flats = [np.concatenate([m.array(name).ravel() for name in m] or [np.zeros(0)], dtype=np.float64) for m in maps]
+    return vectors._cosine(labels, flats).to_json()
+
+
+@pytest.mark.parametrize("inputs", ["fixtures", "memory-test"])
+def test_cosine_json_equals_that_of_concatenated_flats(tmp_path, capsys, inputs):
+    # the flats filled tensor by tensor hold the concatenated values, so the library and both CLI forms
+    # write the bytes that concatenating whole loaded maps gives; the delta files hold the task vectors
+    if inputs == "fixtures":
+        pre, *finetuned = PRE, CARS, MNIST, HALF
+    else:
+        pre, *finetuned = random_checkpoints(tmp_path, 4, (256, 256), 16)
+    assert run("deltas", "--pretrained", pre, "--out-dir", tmp_path / "deltas", *finetuned) == 0
+    delta_files = [tmp_path / "deltas" / f"{path.stem}.delta.safetensors" for path in finetuned]
+    loaded = [read_checkpoint(path) for path in delta_files]
+    expected = concatenated_cosine_json(loaded, [path.stem for path in delta_files])
+    task_vectors = [TaskVector(m, path.stem, pos) for pos, (m, path) in enumerate(zip(loaded, delta_files), start=1)]
+    assert cosine_matrix(task_vectors).to_json() == expected
+    assert run("analyze", "cosine", *delta_files) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert run("analyze", "cosine", "--pretrained", pre, *finetuned) == 0
+    assert capsys.readouterr().out == concatenated_cosine_json(loaded, [path.stem for path in finetuned]) + "\n"
 
 
 def minor_faults(code: str, *args) -> int:

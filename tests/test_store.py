@@ -1,4 +1,6 @@
 import builtins
+import contextlib
+import io
 import json
 import os
 import struct
@@ -198,13 +200,16 @@ def f32_entry(**fields):
         (f32_entry(data_offsets=[8, 0]), "a"),
         (f32_entry(data_offsets=[0, 4, 8]), "a"),
         (f32_entry(data_offsets=[False, 8]), "a"),
+        # raw bytes: json.loads raises RecursionError on the first and a plain ValueError on the second
+        (b"[" * 10_000, None),
+        (b'{"a":{"dtype":"F32","shape":[' + b"9" * 5000 + b'],"data_offsets":[0,8]}}', None),
     ],
     ids=["top-level-list", "metadata-int", "entry-list", "shape-negative", "shape-float", "shape-bool",
-         "offsets-reversed", "offsets-three", "offsets-bool"],
+         "offsets-reversed", "offsets-three", "offsets-bool", "nested-too-deep", "shape-5000-digits"],
 )
 def test_malformed_header_names_file_and_tensor(tmp_path, capsys, header, tensor):
     target = tmp_path / "bad.safetensors"
-    blob = json.dumps(header).encode()
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
     target.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 8)
     with pytest.raises(CheckpointError) as caught:
         read_checkpoint(target)
@@ -319,15 +324,21 @@ def mutated_fixture(draw) -> bytes:
 def test_reader_agrees_with_the_reference_reader_on_mutated_fixtures(tmp_path_factory, data):
     # the reader either refuses a file with a CheckpointError, as the reference refuses it, or loads the
     # names, stored dtypes, shapes, value bits and metadata that the reference loads
+    # inspect, which reads every tensor the same way, exits 0, or exits 1 with the reader's error as its one line
     target = tmp_path_factory.getbasetemp() / "mutated.safetensors"
     target.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # capsys is function-scoped
+        code = main(["inspect", str(target)])
     try:
         with store._Reader(target) as reader:
             loaded = {name: reader.tensor(name) for name in reader.names}
-    except CheckpointError:
+    except CheckpointError as exc:
+        assert (code, out.getvalue(), err.getvalue().splitlines()) == (1, "", [f"error: {exc}"])
         with pytest.raises(ValueError):
             oracles.read_reference(target)
         return
+    assert (code, err.getvalue()) == (0, "")
     tensors, metadata = oracles.read_reference(target)
     assert reader.metadata == metadata
     assert sorted(loaded) == sorted(tensors)
