@@ -28,7 +28,7 @@ from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_
 from .methods import _REGISTRY, MergeSpec, available_methods
 from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _stream, _write_text, _Writer
 from .vectors import TaskVector, _cosine, _flat_task_vectors, _task_labels, _task_vectors, cosine_matrix
-from .weave import PoolSpec, SearchSpace, _weave, default_search_space
+from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, default_search_space
 
 log = logging.getLogger("tensorweave")
 # Each built-in method parameter -> the help of its flag, in registry order.
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_merge_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--pooling", default=None, help="avg|random|magmax (default avg)")
+    p.add_argument("--pooling", default=None, help=f"{'|'.join(_POOLINGS)} (default avg)")
     p.add_argument("--lambda-range", default=None, help="'start:stop:step' or JSON list; default per method")
     p.add_argument(
         "--include-deltas",

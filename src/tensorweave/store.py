@@ -49,6 +49,7 @@ _DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
 _METADATA_KEY = "__metadata__"
 _NON_FINITE = "non-finite value (NaN or Inf)"
 _MAX_HEADER_LEN = 100_000_000  # the largest header the reference safetensors library accepts
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max  # numpy's cap on itemsize times a shape's nonzero dimensions
 
 
 class CheckpointError(Exception):
@@ -329,6 +330,11 @@ def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:
     shape = entry.get("shape")
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise CheckpointError(f"{path}: tensor {name!r}: shape must be a list of non-negative integers")
+    nbytes = _DTYPES[dtype].itemsize
+    for dim in shape:  # checked at each step, so no product grows huge
+        nbytes *= dim or 1
+        if nbytes > _MAX_ARRAY_BYTES:
+            raise CheckpointError(f"{path}: tensor {name!r}: shape too large for a numpy array")
     offsets = entry.get("data_offsets")
     if (
         not isinstance(offsets, list)

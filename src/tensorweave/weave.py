@@ -123,6 +123,8 @@ class PoolSpec:
         if self.pooling not in _POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}; available: {', '.join(_POOLINGS)}")
         _check_seed(self.seed)
+        if not isinstance(self.include_deltas, bool):
+            raise ValueError(f"include_deltas must be a bool, got {self.include_deltas!r}")
 
 
 @dataclass(frozen=True)
@@ -157,18 +159,19 @@ def build_augmented(
     return _member_maps(deltas, _builtin(merge_fn), spec_template, space.lambdas)
 
 
-def _pool_flat(name: str, flats: Iterable[np.ndarray], count: int, pooling: str, seed: int) -> np.ndarray:
-    """Pool the ``count`` members that ``flats`` yields in member order.
+def _pool(name: str, raw: list[np.ndarray], top: np.ndarray, sweep: Iterable[np.ndarray], count: int,
+          pooling: str, seed: int) -> np.ndarray:
+    """Tensor ``name``'s ``count`` members pooled: the ``raw`` task vectors, then ``sweep``'s, ending with ``top``.
+    Each pooling takes only the members it needs; ties resolve to the lowest member index.
 
-    ``avg`` consumes them one at a time. ``magmax`` may be given only the
-    members that can set a pick.
+    ``avg`` sums them one at a time, ``magmax`` draws no sweep member but ``top``, and ``random`` stacks them all.
     """
     if pooling == "avg":
-        return (_accumulate(flats) / count).astype(np.float32)
-    flats = list(flats)
-    if pooling == "magmax":  # ties resolve to the lowest member index
-        return _largest_magnitude(flats)
-    stack = np.stack(flats)
+        return (_accumulate(itertools.chain(raw, sweep)) / count).astype(np.float32)
+    if pooling == "magmax":
+        # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member that ties top has its bits
+        return _largest_magnitude([*raw, top])
+    stack = np.stack([*raw, *sweep])
     draws = uniform01(stream_key(seed, name, lane=0), stack.shape[1])
     picked = np.minimum((draws * count).astype(np.int64), count - 1)
     return stack[picked, np.arange(stack.shape[1])]
@@ -183,8 +186,8 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
     _check_deltas(members, "pool", "member")
     out = {}
     for name, tensor in members[0].items():
-        flats = [m.array(name).ravel() for m in members]
-        out[name] = _pool_flat(name, flats, len(flats), spec.pooling, spec.seed).reshape(tensor.shape)
+        *raw, top = [m.array(name).ravel() for m in members]
+        out[name] = _pool(name, raw, top, [top], len(members), spec.pooling, spec.seed).reshape(tensor.shape)
     return TensorMap(out)
 
 
@@ -239,12 +242,9 @@ def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template:
     n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
 
     def weave_one(name: str) -> tuple[Tensor]:
-        pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
-        # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member
-        # that ties the top one has its bits: magmax pooling needs no other member
-        sweep = [top] if pool_spec.pooling == "magmax" else members
+        pre, flats, top, sweep = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
         raw = flats if pool_spec.include_deltas else []
-        pooled = _pool_flat(name, itertools.chain(raw, sweep), n_members, pool_spec.pooling, pool_spec.seed)
+        pooled = _pool(name, raw, top, sweep, n_members, pool_spec.pooling, pool_spec.seed)
         return (_rebased(name, pre, pooled.reshape(pre.shape), pretrained[name].stored_dtype,
                          "pre-trained plus pooled delta"),)
 

@@ -203,9 +203,15 @@ def f32_entry(**fields):
         # raw bytes: json.loads raises RecursionError on the first and a plain ValueError on the second
         (b"[" * 10_000, None),
         (b'{"a":{"dtype":"F32","shape":[' + b"9" * 5000 + b'],"data_offsets":[0,8]}}', None),
+        # shapes numpy cannot hold: the byte count has more digits than int-to-str allows, and two zero-size
+        # entries beside a tensor that tiles the payload, which pass every other check
+        (b'{"a":{"dtype":"F32","shape":[' + b"9" * 4000 + b"," + b"9" * 4000 + b'],"data_offsets":[0,8]}}', "a"),
+        (f32_entry() | {"z": {"dtype": "F32", "shape": [10**20, 0], "data_offsets": [0, 0]}}, "z"),
+        (f32_entry() | {"z": {"dtype": "F16", "shape": [2**62, 2**62, 0], "data_offsets": [8, 8]}}, "z"),
     ],
     ids=["top-level-list", "metadata-int", "entry-list", "shape-negative", "shape-float", "shape-bool",
-         "offsets-reversed", "offsets-three", "offsets-bool", "nested-too-deep", "shape-5000-digits"],
+         "offsets-reversed", "offsets-three", "offsets-bool", "nested-too-deep", "shape-5000-digits",
+         "shape-8000-digit-bytes", "zero-size-dimension-too-large", "zero-size-too-many-bytes"],
 )
 def test_malformed_header_names_file_and_tensor(tmp_path, capsys, header, tensor):
     target = tmp_path / "bad.safetensors"
@@ -214,6 +220,7 @@ def test_malformed_header_names_file_and_tensor(tmp_path, capsys, header, tensor
     with pytest.raises(CheckpointError) as caught:
         read_checkpoint(target)
     assert str(target) in str(caught.value)
+    assert len(str(caught.value)) < len(str(target)) + 200  # no huge integer is formatted
     if tensor is not None:
         assert f"tensor {tensor!r}" in str(caught.value)
     assert main(["inspect", str(target)]) == 1

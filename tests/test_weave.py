@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import sys
 import time
 import tracemalloc
@@ -6,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorweave import (
     CheckpointError,
@@ -13,6 +16,7 @@ from tensorweave import (
     PoolSpec,
     SearchSpace,
     TaskVector,
+    Tensor,
     TensorMap,
     build_augmented,
     compute_deltas,
@@ -120,13 +124,19 @@ def _weave_small(threads):
         (lambda: _weave_small(1.5), "threads must be a positive integer, got 1.5"),
         (lambda: _weave_small(True), "threads must be a positive integer, got True"),
         (lambda: _weave_small(0), "threads must be a positive integer, got 0"),
+        (lambda: PoolSpec(include_deltas="false"), "include_deltas must be a bool, got 'false'"),
+        (lambda: PoolSpec(include_deltas=0), "include_deltas must be a bool, got 0"),
+        (lambda: PoolSpec(include_deltas=None), "include_deltas must be a bool, got None"),
+        (lambda: PoolSpec(include_deltas=[]), r"include_deltas must be a bool, got \[\]"),
+        (lambda: PoolSpec(include_deltas=2), "include_deltas must be a bool, got 2"),
     ],
     ids=["merge-float", "merge-bool", "merge-2**64", "pool-float", "stream-key-float", "threads-float",
-         "threads-bool", "threads-zero"],
+         "threads-bool", "threads-zero", "include-deltas-str", "include-deltas-zero", "include-deltas-none",
+         "include-deltas-list", "include-deltas-two"],
 )
 def test_seeds_and_thread_counts_must_be_integers(call, message):
     # refused where they enter: unchecked, a float seed fails inside the draws, a bool runs as 0 or 1,
-    # and a float thread count runs
+    # a float thread count runs, and include_deltas runs as its truth value ("false" pools the raw deltas)
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -330,6 +340,97 @@ def test_weave_equals_naive_oracle(rng, method, params, pooling):
     )
     for name in pre:
         assert final.array(name).ravel().tolist() == expected[name]
+
+
+@pytest.mark.parametrize("include_deltas", [True, False])
+@pytest.mark.parametrize("pooling, drawn_per_tensor", [("avg", 3), ("random", 3), ("magmax", 0)])
+def test_each_pooling_draws_only_the_sweep_members_it_needs(monkeypatch, rng, pooling, drawn_per_tensor,
+                                                            include_deltas):
+    # magmax pools the top member, which the sweep hands over already cast; drawing the member iterator
+    # would cast every other member for nothing, and avg must stream it
+    weave_module = importlib.import_module("tensorweave.weave")
+    pre, finetuned = random_instance(rng, 2)
+    args = (MergeSpec("ties", params={"keep_fraction": 0.5}), SearchSpace((0.3, 0.8, 1.2)),
+            PoolSpec(pooling, seed=9, include_deltas=include_deltas))
+    expected, _ = weave(pre, finetuned, *args)
+    drawn = dict.fromkeys(pre.names, 0)
+    tensor_sweep = weave_module._tensor_sweep
+
+    def counted_sweep(name, *rest):
+        values, flats, top, members = tensor_sweep(name, *rest)
+
+        def counted():
+            for member in members:
+                drawn[name] += 1
+                yield member
+        return values, flats, top, counted()
+
+    monkeypatch.setattr(weave_module, "_tensor_sweep", counted_sweep)
+    woven, _ = weave(pre, finetuned, *args)
+    assert drawn == dict.fromkeys(pre.names, drawn_per_tensor)
+    assert woven == expected
+
+
+# a few magnitudes of both signs, so task vectors and sweep members tie in magnitude and hold both signed zeros
+TIED_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+GENERATED_SHAPES = st.sampled_from([(), (0,), (2, 0), (1,), (3,), (5,), (2, 3), (4, 2)])
+GENERATED_PARAMS = {
+    "task_arithmetic": st.just({}),
+    "dare": st.sampled_from([{"drop_rate": 0.0}, {"drop_rate": 0.3}, {"drop_rate": 0.6}]),
+    "ties": st.sampled_from([{"keep_fraction": 0.2}, {"keep_fraction": 0.5}, {"keep_fraction": 1.0}]),
+    "breadcrumbs": st.sampled_from([{"beta": 0.2, "gamma": 0.1}, {"beta": 0.0, "gamma": 0.4}]),
+    "magmax": st.just({}),
+}
+
+
+@st.composite
+def generated_weaves(draw, method: str, pooling: str, include_deltas: bool):
+    """A small model family (pre-trained first; each tensor F32 or F16 in every model) and a weave of it."""
+    shapes = draw(st.dictionaries(st.sampled_from(["a", "b.weight", "c"]), GENERATED_SHAPES, min_size=1, max_size=3))
+    dtypes = {name: draw(st.sampled_from(["F32", "F16"])) for name in shapes}
+    tied = {name: draw(st.booleans()) for name in shapes}
+
+    def model() -> TensorMap:
+        tensors = {}
+        for name, shape in shapes.items():
+            width = 16 if dtypes[name] == "F16" else 32
+            size = int(np.prod(shape))
+            elements = TIED_VALUES if tied[name] else st.floats(-4.0, 4.0, width=width)
+            values = draw(st.lists(elements, min_size=size, max_size=size))
+            tensors[name] = Tensor(np.array(values, dtype=f"<f{width // 8}").reshape(shape), dtypes[name])
+        return TensorMap(tensors)
+
+    models = [model() for _ in range(1 + draw(st.integers(1, 3)))]
+    seed = draw(st.integers(0, 2**64 - 1))
+    spec = MergeSpec(method, params=draw(GENERATED_PARAMS[method]), seed=seed)
+    lambdas = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5]), min_size=1, max_size=4, unique=True))
+    pool_spec = PoolSpec(pooling, seed, include_deltas)
+    return models[0], models[1:], spec, SearchSpace(tuple(sorted(lambdas))), pool_spec
+
+
+@pytest.mark.parametrize("include_deltas", [True, False])
+@pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
+@pytest.mark.parametrize("method", sorted(GENERATED_PARAMS))
+@settings(max_examples=14, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weave_and_pool_are_bitwise_the_oracles_on_generated_models(method, pooling, include_deltas, data):
+    # bytes, not floats: == on floats takes -0.0 for 0.0
+    pre, finetuned, spec, space, pool_spec = data.draw(generated_weaves(method, pooling, include_deltas))
+    woven = [weave(pre, finetuned, spec, space, pool_spec, threads=threads)[0] for threads in (1, 2, 3, 4)]
+    expected = oracles.weave_naive(map_to_lists(pre), [map_to_lists(ft) for ft in finetuned], spec.method,
+                                   dict(spec.params), spec.seed, list(space.lambdas), pool_spec.pooling,
+                                   pool_spec.include_deltas, pool_spec.seed)
+    deltas = compute_deltas(pre, finetuned)
+    members = ([tv.delta for tv in deltas] if pool_spec.include_deltas else []) + build_augmented(
+        deltas, registry_lookup(spec.method), spec, space)
+    pooled = pool(members, pool_spec)
+    for name, tensor in pre.items():
+        want = np.array(expected[name], dtype=np.float32).reshape(tensor.shape).tobytes()
+        assert [(out[name].stored_dtype, out.array(name).tobytes()) for out in woven] == [
+            (tensor.stored_dtype, want)] * 4
+        rows = [[float(v) for v in member.array(name).ravel()] for member in members]
+        want = np.array(oracles.pool_members(rows, pool_spec.pooling, pool_spec.seed, name), dtype=np.float32)
+        assert pooled.array(name).tobytes() == want.reshape(tensor.shape).tobytes()
 
 
 def tie_heavy_instance(n_tasks: int = 3) -> tuple[TensorMap, list[TensorMap]]:
