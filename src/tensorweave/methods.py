@@ -87,6 +87,23 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _bit_select(mask: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per element, ``a`` where ``mask`` holds, else ``b`` (+0.0 if None): flat float32 arrays and a bool mask.
+
+    The mask becomes an all-ones or all-zeros word, and the pick is integer
+    arithmetic on the float32 bits, without a branch: ``b ^ ((a ^ b) & m)``,
+    or ``a & m``. It gives ``np.where``'s bits at a fraction of its time on
+    a mask that is not mostly one way.
+    """
+    m = np.subtract(0, mask.view(np.uint8), dtype=np.int32).view(np.uint32)
+    if b is None:
+        return np.bitwise_and(a.view(np.uint32), m, out=m).view(np.float32)
+    b = b.view(np.uint32)
+    picked = np.bitwise_xor(a.view(np.uint32), b)
+    np.bitwise_and(picked, m, out=picked)
+    return np.bitwise_xor(picked, b, out=picked).view(np.float32)
+
+
 def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
     """Elementwise sum, float64 accumulation in order from +0.0; ``parts`` is consumed one at a time."""
     parts = iter(parts)
@@ -238,7 +255,7 @@ def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     """
     k = spec._require("keep_fraction")
     keep = _trim_count(k, flats[0].size)
-    trimmed = [np.where(_top_mask(np.abs(flat), keep), flat, np.float32(0.0)) for flat in flats]
+    trimmed = [_bit_select(_top_mask(np.abs(flat), keep), flat) for flat in flats]
 
     elected = np.sign(_accumulate(trimmed))
 
@@ -279,7 +296,7 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
 
     def masked(flat: np.ndarray) -> np.ndarray:
         mag = np.abs(flat)
-        return np.where(_top_mask(-mag, n_small) | _top_mask(mag, n_large, ties_low=False), np.float32(0.0), flat)
+        return _bit_select(~(_top_mask(-mag, n_small) | _top_mask(mag, n_large, ties_low=False)), flat)
     return _accumulate(map(masked, flats))  # one masked task vector at a time
 
 
@@ -297,10 +314,20 @@ breadcrumbs = _Method("breadcrumbs", (0.1, 1.0), _breadcrumbs_base, {"beta": "sm
 
 
 def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
-    """Per element, the value of largest magnitude; ties keep the earliest array, signed zeros too."""
+    """Per element of flat float32 arrays, the value of largest magnitude; ties keep the earliest array, signed
+    zeros too.
+
+    Each array is compared with the running largest magnitude and picked
+    from by its bits (``_bit_select``), not by ``np.where``: that branches
+    per element, and on a mask as random as this one it costs several
+    times the compare.
+    """
     picked = flats[0]
+    best = np.abs(picked)
     for flat in flats[1:]:
-        picked = np.where(np.abs(flat) > np.abs(picked), flat, picked)
+        mag = np.abs(flat)
+        picked = _bit_select(mag > best, flat, picked)
+        np.maximum(best, mag, out=best)
     return picked
 
 

@@ -10,7 +10,9 @@ The on-disk container is the common single-file checkpoint layout:
                   relative to the payload start
 
 Only F32 and F16 payloads are supported. All values are held in memory as
-float32 regardless of the stored dtype; F16 widens exactly on load. Writing
+float32 regardless of the stored dtype; F16 widens exactly on load, by a
+65,536-entry table indexed by the 16-bit codes. The table is numpy's own
+F16 -> float32 cast of every code, so it gives that cast's bits. Writing
 the same map twice yields byte-identical files (names are serialized in
 lexicographic order with contiguous offsets from zero).
 
@@ -50,6 +52,8 @@ _METADATA_KEY = "__metadata__"
 _NON_FINITE = "non-finite value (NaN or Inf)"
 _MAX_HEADER_LEN = 100_000_000  # the largest header the reference safetensors library accepts
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max  # numpy's cap on itemsize times a shape's nonzero dimensions
+_F16_TO_F32 = np.arange(1 << 16, dtype=np.uint16).view(np.float16).astype(np.float32)  # code -> its float32
+_F16_BLOCK = 1 << 16  # F16 codes widened per take
 
 
 class CheckpointError(Exception):
@@ -228,7 +232,12 @@ class _Reader:
         return self.tensor(name).values
 
     def tensor(self, name: str) -> Tensor:
-        """Tensor ``name``, read from the file now: F16 widens exactly; a NaN, an Inf or a short read is an error."""
+        """Tensor ``name``, read from the file now: a NaN, an Inf or a short read is an error.
+
+        F16 widens exactly, each code looked up in ``_F16_TO_F32``: the same
+        bits as ``astype(np.float32)``, in less time than the cast. The
+        lookup goes by blocks of codes, so that its index copy stays small.
+        """
         entry = self._entries[name]
         values = np.empty(entry.shape, dtype=_DTYPES[entry.stored_dtype])
         buffer = values.reshape(-1).view(np.uint8)
@@ -241,6 +250,13 @@ class _Reader:
                     f"the file ends after {done} of {buffer.size} payload bytes"
                 )
             done += count
+        if entry.stored_dtype == "F16":
+            codes, values = buffer.view(np.uint16), np.empty(entry.shape, dtype=np.float32)
+            widened = values.reshape(-1)
+            for start in range(0, codes.size, _F16_BLOCK):  # take copies each block's codes as intp indices
+                end = start + _F16_BLOCK
+                # every code is in range, so "wrap" changes none, and unlike "raise" it does not buffer out
+                np.take(_F16_TO_F32, codes[start:end], out=widened[start:end], mode="wrap")
         return Tensor(values, entry.stored_dtype, f"{self.path}: tensor {name!r}: {_NON_FINITE}")
 
 

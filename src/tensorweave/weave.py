@@ -90,8 +90,10 @@ class SearchSpace:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"invalid scaling-factor range {text!r}: {exc}") from exc
-        if step <= 0 or stop < start:
+        if step <= 0 or stop < start:  # NaN passes both
             raise ValueError(f"range {text!r} must have step > 0 and stop >= start")
+        if not all(map(math.isfinite, (start, stop, step, (stop - start) / step))):
+            raise ValueError(f"range {text!r} must have a finite start, stop and step, and a finite number of factors")
         return cls(_spaced(start, stop, step))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -41,6 +42,23 @@ def _factor(count: int) -> tuple[int, ...]:
         if count % d == 0 and count > d:
             return (d, count // d)
     return (count,)
+
+
+# signed zeros, a magnitude tie across signs, both float32 extremes and the smallest subnormal of each sign
+_F32_MAX, _F32_TINY = float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_subnormal)
+EDGE_VALUES = (0.0, -0.0, 1.5, -1.5, _F32_MAX, -_F32_MAX, _F32_TINY, -_F32_TINY, 0.25)
+
+
+def edge_rows(count: int) -> list[list[float]]:
+    """``count`` hand-built members over EDGE_VALUES, one element per ordered pair of them.
+
+    The first two members hold each pair, so every value meets every other
+    in both orders; later members cycle through EDGE_VALUES at their own
+    stride. Every value is exactly a float32.
+    """
+    pairs = list(itertools.product(EDGE_VALUES, repeat=2))
+    rows = [[a for a, _ in pairs], [b for _, b in pairs]][:count]
+    return rows + [[EDGE_VALUES[(j * k + k) % len(EDGE_VALUES)] for j in range(len(pairs))] for k in range(2, count)]
 
 
 def as_task_vectors(maps: list[TensorMap]) -> list[TaskVector]:

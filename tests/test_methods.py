@@ -20,7 +20,9 @@ from tensorweave import (
     ties,
 )
 
-from .conftest import as_task_vectors, random_map
+from tensorweave.methods import _bit_select, _largest_magnitude
+
+from .conftest import as_task_vectors, edge_rows, random_map
 from . import oracles
 
 
@@ -374,6 +376,52 @@ def test_magmax_index_map_scaling_invariance(rng):
         ).array("w")
         chosen = np.stack(scaled)[index_base, np.arange(40)]
         np.testing.assert_array_equal(out, chosen)
+
+
+# ---------------------------------------------------------------- bit select
+
+
+def test_bit_select_gives_the_bits_of_np_where():
+    a, b, c = (np.array(row, dtype=np.float32) for row in edge_rows(3))
+    for mask in (np.abs(a) > np.abs(b), np.signbit(c), np.ones(a.size, bool), np.zeros(a.size, bool)):
+        assert _bit_select(mask, a, b).tobytes() == np.where(mask, a, b).tobytes()
+        trimmed = _bit_select(mask, a)
+        assert trimmed.dtype == np.float32
+        assert trimmed.tobytes() == np.where(mask, a, np.float32(0.0)).tobytes()
+        # a dropped entry is +0.0, whatever its sign was
+        assert not np.signbit(trimmed[~mask]).any()
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_magnitude_picks_are_bitwise_the_oracles_on_edge_values(count):
+    rows = edge_rows(count)
+    flats = [np.array(row, dtype=np.float32) for row in rows]
+    for flat in flats:
+        flat.setflags(write=False)
+    picked = _largest_magnitude(flats)
+    assert picked.tobytes() == f32_bytes(oracles.pool_members(rows, "magmax", 0, "w"))
+    assert [flat.tobytes() for flat in flats] == [f32_bytes(row) for row in rows]  # inputs left as they were
+    for lam in (1.0, 0.5):
+        out = magmax(vecs(*rows), MergeSpec("magmax", lam=lam))
+        assert out.array("w").tobytes() == f32_bytes(oracles.merge_magmax(rows, lam))
+    for k in (0.1, 0.5, 1.0):  # the trim drops negative entries too
+        out = ties(vecs(*rows), MergeSpec("ties", lam=1.0, params={"keep_fraction": k}))
+        assert out.array("w").tobytes() == f32_bytes(oracles.merge_ties(rows, 1.0, keep_fraction=k))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+def test_magnitude_picks_keep_0d_and_zero_size_shapes(shape):
+    # 0-d: one case per element of the edge members; zero-size: one case of empty members
+    rows = edge_rows(3)
+    cases = [[[row[j]] for row in rows] for j in range(len(rows[0]))] if shape == () else [[[] for _ in rows]]
+    for members in cases:
+        deltas = as_task_vectors([TensorMap({"w": np.array(m, dtype=np.float32).reshape(shape)}) for m in members])
+        picked = magmax(deltas, MergeSpec("magmax", lam=1.0)).array("w")
+        assert picked.shape == shape
+        assert picked.tobytes() == f32_bytes(oracles.merge_magmax(members, 1.0))
+        trimmed = ties(deltas, MergeSpec("ties", lam=1.0, params={"keep_fraction": 0.5})).array("w")
+        assert trimmed.shape == shape
+        assert trimmed.tobytes() == f32_bytes(oracles.merge_ties(members, 1.0, keep_fraction=0.5))
 
 
 # ------------------------------------------------------------------ registry

@@ -77,6 +77,33 @@ def test_f16_widens_per_bit_level_decoder(tmp_path):
     assert float(loaded.array("h")[0]) == 1.0
 
 
+def test_every_finite_f16_code_widens_to_the_bits_of_the_decoder_and_of_numpy(tmp_path):
+    codes = np.arange(1 << 16, dtype=np.uint16)
+    finite = codes[codes & 0x7C00 != 0x7C00]  # exponent all ones: Inf or NaN
+    assert finite.size == 63_488
+    target = tmp_path / "codes.safetensors"
+    build_file(target, {"h": {"dtype": "F16", "shape": [finite.size], "data_offsets": [0, 2 * finite.size]}},
+               finite.astype("<u2").tobytes())
+    with store._Reader(target) as reader:
+        widened = reader.array("h")
+    assert widened.tobytes() == np.array([half_to_float(int(code)) for code in finite], np.float32).tobytes()
+    assert widened.tobytes() == finite.view(np.float16).astype(np.float32).tobytes()
+
+
+def test_every_non_finite_f16_code_is_refused_naming_file_and_tensor(tmp_path):
+    codes = [code for code in range(1 << 16) if code & 0x7C00 == 0x7C00]
+    assert len(codes) == 2048
+    target = tmp_path / "non_finite.safetensors"
+    entries = {f"c{code:04x}": {"dtype": "F16", "shape": [], "data_offsets": [2 * i, 2 * i + 2]}
+               for i, code in enumerate(codes)}
+    build_file(target, entries, np.array(codes, dtype="<u2").tobytes())
+    with store._Reader(target) as reader:
+        for name in reader.names:
+            with pytest.raises(CheckpointError) as caught:
+                reader.tensor(name)
+            assert str(caught.value) == f"{target}: tensor {name!r}: non-finite value (NaN or Inf)"
+
+
 def test_round_trip_small(tmp_path):
     original = TensorMap({"w": np.array([1.0, -2.0], dtype=np.float32)})
     target = tmp_path / "rt.safetensors"

@@ -33,7 +33,9 @@ from tensorweave import (
 
 from tensorweave.rng import stream_key
 
-from .conftest import as_task_vectors, map_to_lists, random_instance, random_map
+from tensorweave.cli import main
+
+from .conftest import FIXTURES, as_task_vectors, edge_rows, map_to_lists, random_instance, random_map
 from . import oracles
 
 
@@ -93,6 +95,20 @@ def test_search_space_parse_range():
         SearchSpace.parse("1.0:0.1")
     with pytest.raises(ValueError):
         SearchSpace.parse("[1.0, \"x\"]")
+
+
+@pytest.mark.parametrize("text", ["0.1:nan:0.1", "0.1:1e308:1e-300", "0.1:1:inf"])
+def test_search_space_parse_refuses_a_non_finite_range(text, tmp_path, capsys):
+    message = f"range {text!r} must have a finite start, stop and step, and a finite number of factors"
+    with pytest.raises(ValueError) as caught:
+        SearchSpace.parse(text)
+    assert str(caught.value) == message
+    out = tmp_path / "woven.safetensors"
+    code = main(["weave", "--method", "task_arithmetic", "--lambda-range", text, "--pretrained",
+                 str(FIXTURES / "pretrained.safetensors"), "--out", str(out), str(FIXTURES / "task_cars.safetensors")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --lambda-range: {message}\n"
+    assert not out.exists()
 
 
 def test_search_space_parse_endpoint_inclusive_within_tolerance():
@@ -194,6 +210,21 @@ def test_pool_magmax_example_tie_break():
     merged = magmax(as_task_vectors([tmap(w=r) for r in rows]), MergeSpec("magmax", lam=1.0))
     assert merged.array("w").tobytes() == expected.tobytes()
     assert merged.array("w").tobytes() == np.array(oracles.merge_magmax(rows, 1.0), np.float32).tobytes()
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_pool_magmax_is_bitwise_the_oracle_on_edge_values(count):
+    rows = edge_rows(count)
+    out = pool([tmap(w=row) for row in rows], PoolSpec(pooling="magmax"))
+    assert out.array("w").tobytes() == np.array(oracles.pool_members(rows, "magmax", 0, "w"), np.float32).tobytes()
+    # 0-d: one case per element of the members; zero-size: members of no element
+    cases = [([[row[j]] for row in rows], ()) for j in range(len(rows[0]))]
+    cases += [([[] for _ in rows], (0,)), ([[] for _ in rows], (3, 0))]
+    for members, shape in cases:
+        picked = pool([tmap(w=np.array(m, np.float32).reshape(shape)) for m in members], PoolSpec(pooling="magmax"))
+        assert picked.array("w").shape == shape
+        expected = oracles.pool_members(members, "magmax", 0, "w")
+        assert picked.array("w").tobytes() == np.array(expected, np.float32).tobytes()
 
 
 @pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
