@@ -49,25 +49,30 @@ class AccuracyTable:
     def from_csv(cls, path: str | Path) -> "AccuracyTable":
         rows: list[tuple[str, float, float]] = []
         lines: list[int] = []
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["task", "lambda", "accuracy"]:
-                raise CsvFormatError(f"{path}: line 1: header must be 'task,lambda,accuracy'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 3:
-                    raise CsvFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-                task = row[0].strip()
-                if not task:
-                    raise CsvFormatError(f"{path}: line {lineno}: empty task name")
-                try:
-                    lam, acc = float(row[1]), float(row[2])
-                except ValueError:
-                    raise CsvFormatError(f"{path}: line {lineno}: non-numeric lambda or accuracy") from None
-                rows.append((task, lam, acc))
-                lines.append(lineno)
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                reader = csv.reader(handle)
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["task", "lambda", "accuracy"]:
+                    raise CsvFormatError(f"{path}: line 1: header must be 'task,lambda,accuracy'")
+                for lineno, row in enumerate(reader, start=2):
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if len(row) != 3:
+                        raise CsvFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                    task = row[0].strip()
+                    if not task:
+                        raise CsvFormatError(f"{path}: line {lineno}: empty task name")
+                    try:
+                        lam, acc = float(row[1]), float(row[2])
+                    except ValueError:
+                        raise CsvFormatError(f"{path}: line {lineno}: non-numeric lambda or accuracy") from None
+                    rows.append((task, lam, acc))
+                    lines.append(lineno)
+        except csv.Error as exc:  # a field longer than the csv module's limit
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: {exc}") from None
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
         try:
@@ -135,11 +140,11 @@ def sweep_emit(
     ``manifest.json`` lists them with their factors. Returns the
     checkpoint paths in sweep order.
 
-    Every factor's file is open at once and filled one tensor at a time,
-    in name order: the tensor's task vectors and kernel base are made
-    once, and each factor's re-based tensor goes straight to its file. So
-    above its inputs (nothing, for the CLI's checkpoint readers) a sweep
-    holds O(tasks x largest tensor), plus one open file per factor. The
+    Every factor's file is filled one tensor at a time, in name order: the
+    tensor's task vectors and kernel base are made once, and each factor's
+    re-based tensor is appended to its file. So above its inputs (nothing,
+    for the CLI's checkpoint readers) a sweep holds O(tasks x largest
+    tensor), and no output file is held open between writes. The
     files replace their targets only once every tensor is written: an
     error, named for the first faulty tensor, leaves no new file or manifest.
     """

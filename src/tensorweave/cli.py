@@ -137,7 +137,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON; RecursionError: too deep
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must be a JSON object")

@@ -22,7 +22,7 @@ reads each tensor into its own buffer when asked, so it holds one tensor's
 values at a time and a loaded map holds its float32 values and no other
 bytes of the file. The internal writer lays out the header from names,
 shapes and stored dtypes, then takes one payload at a time; it writes to a
-temporary file that replaces the target only once complete.
+temporary file that replaces the target only once complete, open only while written.
 """
 
 from __future__ import annotations
@@ -167,12 +167,9 @@ class TensorMap:
 def require_compatible(reference: TensorMap, candidate: TensorMap, label: str = "input") -> None:
     """Raise FingerprintMismatch naming the first offending tensor."""
     ref_names, cand_names = set(reference.names), set(candidate.names)
-    missing = sorted(ref_names - cand_names)
-    if missing:
-        raise FingerprintMismatch(f"{label}: missing tensor {missing[0]!r}")
-    extra = sorted(cand_names - ref_names)
-    if extra:
-        raise FingerprintMismatch(f"{label}: unexpected tensor {extra[0]!r}")
+    for kind, names in (("missing", ref_names - cand_names), ("unexpected", cand_names - ref_names)):
+        if names:
+            raise FingerprintMismatch(f"{label}: {kind} tensor {min(names)!r}")
     for name, tensor in reference.items():
         if candidate[name].shape != tensor.shape:
             raise FingerprintMismatch(
@@ -200,7 +197,7 @@ class _Reader:
     Items are header entries (stored dtype and shape, no values). ``tensor``
     and ``array`` read one tensor into a fresh buffer by a positional read,
     so threads may share a reader, and nothing else of the file is held.
-    Close it, or use it as a context manager.
+    Use it as a context manager, which closes the file.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -217,9 +214,6 @@ class _Reader:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
         self._handle.close()
 
     def items(self) -> Iterator[tuple[str, _Entry]]:
@@ -363,23 +357,28 @@ def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:
 
 
 class _Replacement:
-    """A file written under a temporary name beside ``path``, as a context manager.
+    """A file written under a temporary name beside ``path``, made with its ``first`` bytes, as a context manager.
 
+    It holds paths, not an open file, so no output file stays open between writes.
     A clean exit moves it over ``path``; an exception removes it, so
     ``path`` never holds a partial file and keeps what it held before.
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, first: bytes) -> None:
         self.target = Path(path)
         self.partial = self.target.with_name(f".{self.target.name}.{os.urandom(8).hex()}.partial")
-        self.handle = open(self.partial, "xb")
+        try:
+            with open(self.partial, "xb") as handle:
+                handle.write(first)
+        except BaseException:
+            self.partial.unlink(missing_ok=True)
+            raise
 
     def __enter__(self) -> "_Replacement":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            self.handle.close()
             if exc_type is None:
                 self._check_complete()
                 os.replace(self.partial, self.target)
@@ -392,8 +391,8 @@ class _Replacement:
 
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path``, replacing it only once complete."""
-    with _Replacement(path) as out:
-        out.handle.write(text.encode("utf-8"))
+    with _Replacement(path, text.encode("utf-8")):
+        pass
 
 
 class _Writer(_Replacement):
@@ -401,8 +400,8 @@ class _Writer(_Replacement):
 
     The header is laid out on open from each entry's name, shape and
     stored dtype, in name order, and the metadata; ``write`` then takes
-    the tensors in that order, each written straight to the file. A clean
-    exit commits the file, which must then hold every tensor.
+    the tensors in that order, each appended to the file, which is open
+    only while it is written. A clean exit commits the file, which must then hold every tensor.
     """
 
     def __init__(
@@ -430,17 +429,10 @@ class _Writer(_Replacement):
             header[_METADATA_KEY] = metadata
         encoded = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
         self._written = 0
-
-        super().__init__(path)
-        try:
-            self.handle.write(struct.pack("<Q", len(encoded)))
-            self.handle.write(encoded)
-        except BaseException as exc:
-            self.__exit__(type(exc), exc, exc.__traceback__)
-            raise
+        super().__init__(path, struct.pack("<Q", len(encoded)) + encoded)
 
     def write(self, name: str, tensor: Tensor) -> None:
-        """Write the next tensor's payload; its name and shape must be the next of the layout."""
+        """Append the next tensor's payload; its name and shape must be the next of the layout."""
         expected, shape, out_dtype = self._layout[self._written]
         if (name, tensor.shape) != (expected, shape):
             raise ValueError(f"expected tensor {expected!r} of shape {shape}, got {name!r} of shape {tensor.shape}")
@@ -450,7 +442,9 @@ class _Writer(_Replacement):
                 payload = payload.astype(np.float16)
             if not np.isfinite(payload).all():
                 raise CheckpointError(f"tensor {name!r}: value overflows F16 under dtype_policy 'keep'")
-        self.handle.write(payload)
+        # appended without O_CREAT, so a partial removed since the last write fails the write, not its commit
+        with open(self.partial, "ab", opener=lambda path, flags: os.open(path, flags & ~os.O_CREAT)) as handle:
+            handle.write(payload)
         self._written += 1
 
     def _check_complete(self) -> None:

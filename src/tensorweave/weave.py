@@ -80,7 +80,7 @@ class SearchSpace:
         if text.startswith("["):
             try:
                 values = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise ValueError(f"invalid scaling-factor list: {exc}") from exc
             return cls(tuple(values))
         parts = text.split(":")

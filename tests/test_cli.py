@@ -365,6 +365,30 @@ def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+    (b"[0.5]", "config {path} must be a JSON object"),
+    (b"[" * 200_000, "cannot read config {path}: maximum recursion depth exceeded while decoding a JSON array "
+                     "from a unicode string"),
+    (b"\xff{}", "cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "not-an-object", "nested-too-deep", "not-utf-8"])
+def test_config_file_faults_exit_2_naming_the_file(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_bytes(content)
+    out = tmp_path / "woven.safetensors"
+    assert run("weave", "--config", config, "--method", "task_arithmetic", "--pretrained", PRE, "--out", out, CARS) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=config)}\n"
+    assert not out.exists()
+
+
+def test_weave_without_a_method_exits_2(tmp_path, capsys):
+    out = tmp_path / "woven.safetensors"
+    assert run("weave", "--pretrained", PRE, "--out", out, CARS) == 2
+    assert capsys.readouterr().err == "error: --method is required (flag or config)\n"
+    assert not out.exists()
+
+
 def test_config_numeric_strings_convert(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"method": "dare", "drop_rate": "0.5", "lambda": "0.7", "seed": "7", "threads": "2"}))
@@ -477,6 +501,21 @@ def test_analyze_best_lambda_duplicate_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"task,lambda,accuracy\n ,0.5,0.7\n", "line 2: empty task name"),
+    (b"task,lambda,accuracy\n\n", "no data rows"),
+    (b"task,lambda,accuracy\na,0.5,0.7\n" + b"b" * 131_073 + b",1.0,0.9\n",
+     "line 3: field larger than field limit (131072)"),
+    (b"task,lambda,accuracy\na,0.5,0.7\n\xff,1.0,0.9\n",
+     "'utf-8' codec can't decode byte 0xff in position 31: invalid start byte"),
+], ids=["empty-task", "no-rows", "field-over-the-limit", "not-utf-8"])
+def test_analyze_best_lambda_csv_faults_exit_2_naming_the_file(tmp_path, capsys, content, message):
+    csv = tmp_path / "acc.csv"
+    csv.write_bytes(content)
+    assert run("analyze", "best-lambda", "--csv", csv) == 2
+    assert capsys.readouterr() == ("", f"error: {csv}: {message}\n")
+
+
 def test_analyze_sweep_writes_files(tmp_path):
     out = tmp_path / "sweep"
     code = run(
@@ -579,11 +618,14 @@ def test_failed_json_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch
         def __init__(self, handle):
             self.handle = handle
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
         def write(self, data):
             raise OSError("No space left on device")
-
-        def close(self):
-            self.handle.close()
 
     def open_failing_json(path, *args, **kwargs):
         handle = builtins.open(path, *args, **kwargs)
@@ -594,6 +636,53 @@ def test_failed_json_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err.splitlines() == ["error: No space left on device"]
     assert target.read_text() == "previous\n"
     assert not [p.name for p in out.iterdir() if p.name.endswith(".partial")]
+
+
+def test_partial_removed_between_writes_fails_the_command_and_commits_nothing(tmp_path, capsys, monkeypatch):
+    # each write opens its partial to append without creating it, so a partial that vanished since the last
+    # write fails the command instead of a file without its header being committed
+    out = tmp_path / "sweep"
+    out.mkdir()
+    kept = out / "task_arithmetic_lambda0.5.safetensors"
+    kept.write_bytes(b"from an earlier sweep")
+    write, removed = store._Writer.write, []
+
+    def write_then_remove_the_partial(writer, name, tensor):
+        write(writer, name, tensor)
+        if writer.target == kept and not removed:
+            removed.append(writer.partial)
+            writer.partial.unlink()
+
+    monkeypatch.setattr(store._Writer, "write", write_then_remove_the_partial)
+    code = run("analyze", "sweep", "--method", "task_arithmetic", "--lambda-range", "[0.5, 1.0]",
+               "--pretrained", PRE, "--out-dir", out, CARS, MNIST)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{removed[0]}'\n"
+    assert [p.name for p in out.iterdir()] == [kept.name]
+    assert kept.read_bytes() == b"from an earlier sweep"
+
+
+def test_outputs_past_the_open_file_limit(tmp_path):
+    # no output file stays open between writes, so a command may write more files than it may hold open:
+    # each runs in a child whose soft limit is 40 open files, and writes the bytes it writes without one
+    limited_main = ("import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, "
+                    "(40, resource.getrlimit(resource.RLIMIT_NOFILE)[1])); "
+                    "from tensorweave.cli import main; sys.exit(main())")
+    for argv, count in (
+        (("analyze", "sweep", "--method", "task_arithmetic", "--lambda-range", "0.02:1.0:0.02",
+          "--pretrained", PRE, CARS, MNIST), 50 + 1),  # 50 factors and the manifest
+        (("deltas", "--pretrained", PRE, *[CARS, MNIST] * 10), 20),  # 21 readers and 20 outputs
+    ):
+        limited, plain = tmp_path / f"{argv[0]}-limited", tmp_path / f"{argv[0]}-plain"
+        result = subprocess.run([sys.executable, "-c", limited_main, *map(str, argv), "--out-dir", str(limited)],
+                                env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert run(*argv, "--out-dir", plain) == 0
+        files = sorted(p.name for p in plain.iterdir())
+        assert len(files) == count
+        assert sorted(p.name for p in limited.iterdir()) == files
+        for file in files:
+            assert (limited / file).read_bytes() == (plain / file).read_bytes(), file
 
 
 def test_inspect_lists_tensors(capsys):

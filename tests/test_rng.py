@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,12 @@ def test_streams_differ_across_names_lanes_seeds():
     assert not np.array_equal(base, uniform01(stream_key(1, "b", 0), 64))
     assert not np.array_equal(base, uniform01(stream_key(1, "a", 1), 64))
     assert not np.array_equal(base, uniform01(stream_key(2, "a", 0), 64))
+
+
+def test_negative_lane_is_refused():
+    with pytest.raises(ValueError) as caught:
+        stream_key(1, "a", -1)
+    assert str(caught.value) == "lane must be non-negative, got -1"
 
 
 def test_uniform_range_and_moments():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tensorweave import (
     CheckpointError,
+    FingerprintMismatch,
     MergeSpec,
     Tensor,
     TensorMap,
@@ -26,6 +27,7 @@ from tensorweave import (
 )
 
 from tensorweave.cli import main
+from tensorweave.store import require_compatible
 
 from .conftest import FIXTURES
 from . import oracles
@@ -395,6 +397,37 @@ def test_unsupported_dtype(tmp_path):
         read_checkpoint(target)
 
 
+@pytest.mark.parametrize("values, stored_dtype, error, message", [
+    (np.ones(2, dtype=np.float32), "BF16", CheckpointError, "unsupported dtype 'BF16'"),
+    (np.array(["1.0"]), "F32", TypeError, "expected numeric values, got dtype <U3"),
+    (np.array([None]), "F32", TypeError, "expected numeric values, got dtype object"),
+])
+def test_tensor_refuses_an_unsupported_dtype_and_non_numeric_values(values, stored_dtype, error, message):
+    with pytest.raises(error) as caught:
+        Tensor(values, stored_dtype)
+    assert str(caught.value) == message
+
+
+def test_tensor_maps_differ_in_names_metadata_dtype_shape_or_bits():
+    one = np.ones(2, dtype=np.float32)
+    base = TensorMap({"a": one}, {"k": "v"})
+    assert base == TensorMap({"a": one.copy()}, {"k": "v"})
+    assert base != TensorMap({"b": one}, {"k": "v"})
+    assert base != TensorMap({"a": one}, {"k": "w"})
+    assert base != TensorMap({"a": Tensor(one, "F16")}, {"k": "v"})
+    assert base != TensorMap({"a": one.reshape(2, 1)}, {"k": "v"})
+    assert base != TensorMap({"a": np.array([1.0, -1.0], dtype=np.float32)}, {"k": "v"})
+    assert TensorMap({"a": np.zeros(1, dtype=np.float32)}) != TensorMap({"a": -np.zeros(1, dtype=np.float32)})
+    assert base.__eq__({"a": one}) is NotImplemented and base != {"a": one}
+
+
+def test_require_compatible_names_an_unexpected_tensor():
+    one = np.ones(1, dtype=np.float32)
+    with pytest.raises(FingerprintMismatch) as caught:
+        require_compatible(TensorMap({"a": one}), TensorMap({"a": one, "c": one, "b": one}))
+    assert str(caught.value) == "input: unexpected tensor 'b'"
+
+
 def test_non_finite_payload_rejected(tmp_path):
     target = tmp_path / "nan.safetensors"
     payload = struct.pack("<2f", 1.0, float("nan"))
@@ -509,28 +542,61 @@ def test_keep_policy_rejects_f16_overflow(tmp_path):
         write_checkpoint(big, tmp_path / "x.safetensors", dtype_policy="keep")
 
 
+def fail_write(monkeypatch, number):
+    """Make the ``number``-th write to a file the store opens to write, counted across opens, fail as a full disk."""
+    writes = [0]
+
+    class FailingHandle:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            writes[0] += 1
+            if writes[0] == number:
+                raise OSError("No space left on device")
+            return self.handle.write(data)
+
+    def open_failing(path, mode, **kwargs):  # checkpoint readers are left alone
+        handle = builtins.open(path, mode, **kwargs)
+        return handle if mode == "rb" else FailingHandle(handle)
+
+    monkeypatch.setattr(store, "open", open_failing, raising=False)
+
+
 def test_failed_write_leaves_existing_target_intact(tmp_path, monkeypatch):
     target = tmp_path / "out.safetensors"
     write_checkpoint(TensorMap({"a": np.arange(3, dtype=np.float32)}), target)
     before = target.read_bytes()
-
-    class FailOnFirstBlob:
-        def __init__(self, handle):
-            self.handle, self.writes = handle, 0
-
-        def close(self):  # the writer closes its handle itself, outside a with statement
-            self.handle.close()
-
-        def write(self, data):
-            self.writes += 1
-            if self.writes == 3:  # after the length prefix and the header
-                raise OSError("No space left on device")
-            return self.handle.write(data)
-
-    monkeypatch.setattr(store, "open", lambda *a, **k: FailOnFirstBlob(builtins.open(*a, **k)), raising=False)
+    fail_write(monkeypatch, 2)  # the first payload, after the length prefix and the header (one write)
     replacement = TensorMap({"a": np.ones(3, dtype=np.float32), "b": np.ones(5, dtype=np.float32)})
     with pytest.raises(OSError, match="No space"):
         write_checkpoint(replacement, target)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.safetensors"]
+
+
+def test_failed_header_write_leaves_no_partial_and_the_target_intact(tmp_path, monkeypatch, capsys):
+    # the writer makes its partial with the length prefix and the header; if that fails, the constructor
+    # removes the partial itself, since no with block has been entered to do it
+    target = tmp_path / "out.safetensors"
+    write_checkpoint(TensorMap({"a": np.arange(3, dtype=np.float32)}), target)
+    before = target.read_bytes()
+    fail_write(monkeypatch, 1)
+    with pytest.raises(OSError, match="No space"):
+        store._Writer(target, TensorMap({"a": np.ones(3, dtype=np.float32)}).items(), {})
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.safetensors"]
+    fail_write(monkeypatch, 1)
+    argv = ["merge", "--method", "task_arithmetic", "--pretrained", str(FIXTURES / "pretrained.safetensors"),
+            "--out", str(target), str(FIXTURES / "task_cars.safetensors")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.safetensors"]
 

@@ -111,6 +111,26 @@ def test_search_space_parse_refuses_a_non_finite_range(text, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[0.5,", "invalid scaling-factor list: Expecting value: line 1 column 6 (char 5)"),
+    ("[" * 100_000,
+     "invalid scaling-factor list: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ("a:1:0.1", "invalid scaling-factor range 'a:1:0.1': could not convert string to float: 'a'"),
+    ("0.1:1:0", "range '0.1:1:0' must have step > 0 and stop >= start"),
+    ("1:0.5:0.1", "range '1:0.5:0.1' must have step > 0 and stop >= start"),
+], ids=["bad-json", "nested-too-deep", "non-numeric", "zero-step", "stop-below-start"])
+def test_search_space_parse_errors_exit_2_with_their_message(text, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as caught:
+        SearchSpace.parse(text)
+    assert str(caught.value) == message
+    out = tmp_path / "woven.safetensors"
+    code = main(["weave", "--method", "task_arithmetic", "--lambda-range", text, "--pretrained",
+                 str(FIXTURES / "pretrained.safetensors"), "--out", str(out), str(FIXTURES / "task_cars.safetensors")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --lambda-range: {message}\n"
+    assert not out.exists()
+
+
 def test_search_space_parse_endpoint_inclusive_within_tolerance():
     # (1.0 - 0.1) / 0.3 lands a hair under 3 in binary; 1.0 still included
     assert SearchSpace.parse("0.1:1.0:0.3").lambdas == (0.1, 0.4, 0.7, 1.0)
@@ -641,6 +661,13 @@ def test_weave_requires_inputs(rng):
     pre, _ = random_instance(rng, 1)
     with pytest.raises(ValueError, match="at least one fine-tuned checkpoint"):
         weave(pre, [], MergeSpec("task_arithmetic"))
+
+
+def test_weave_refuses_a_label_count_that_does_not_match_the_checkpoints(rng):
+    pre, finetuned = random_instance(rng, 2)
+    with pytest.raises(ValueError) as caught:
+        weave(pre, finetuned, MergeSpec("task_arithmetic"), labels=["only"])
+    assert str(caught.value) == "got 1 labels for 2 checkpoints"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
