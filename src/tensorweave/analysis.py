@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .methods import MergeSpec
-from .store import Tensor, TensorMap, _stream, _write_text, _Writer
+from .store import Tensor, TensorMap, _Replacement, _stream, _Writer
 from .vectors import _rebased, _task_labels
 from .weave import SearchSpace, _tensor_sweep
 
@@ -71,7 +71,11 @@ class AccuracyTable:
                     lines.append(lineno)
         except csv.Error as exc:  # a field longer than the csv module's limit
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # its position counts from the decoder's chunk: recount from byte 0, BOM too
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
             raise CsvFormatError(f"{path}: {exc}") from None
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")
@@ -151,19 +155,22 @@ def sweep_emit(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
-    _write_sweep(pretrained, finetuned, spec_template, space, [out_dir / file for file in files], labels)
     manifest = {
         "spec": spec_template.to_json_dict(),
         "lambdas": list(space.lambdas),
         "files": [{"lambda": lam, "path": file} for lam, file in zip(space.lambdas, files)],
     }
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_sweep(pretrained, finetuned, spec_template, space, [out_dir / file for file in files], labels,
+                 (out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n"))
     return [out_dir / file for file in files]
 
 
 def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: MergeSpec, space: SearchSpace,
-                 paths: Sequence[str | Path], labels: Sequence[str] | None = None) -> None:
-    """``sweep_emit`` without the manifest: pretrained + merge(deltas, lam) at each factor, written to ``paths``."""
+                 paths: Sequence[str | Path], labels: Sequence[str] | None = None,
+                 manifest: tuple[Path, str] | None = None) -> None:
+    """pretrained + merge(deltas, lam) at each factor, written to ``paths``, and the ``manifest`` (path, text)
+    if given: ``sweep_emit``'s files, committed together.
+    """
     labels = _task_labels(pretrained, finetuned, labels)
 
     def rebased_members(name: str) -> Iterator[Tensor]:
@@ -172,4 +179,6 @@ def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: Me
 
     with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
         writers = [stack.enter_context(_Writer(path, pretrained.items(), pretrained.metadata)) for path in paths]
+        if manifest is not None:  # written now, so that a failed write commits no checkpoint
+            stack.enter_context(_Replacement(manifest[0], manifest[1].encode("utf-8")))
         _stream(pretrained.names, rebased_members, [writer.write for writer in writers])

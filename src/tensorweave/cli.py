@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_emit
 from .methods import _REGISTRY, MergeSpec, available_methods
-from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _stream, _write_text, _Writer
+from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _Replacement, _stream, _write_text, _Writer
 from .vectors import TaskVector, _cosine, _flat_task_vectors, _task_labels, _task_vectors, cosine_matrix
 from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, default_search_space
 
@@ -225,12 +225,12 @@ def _cmd_weave(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
-    with contextlib.ExitStack() as stack:
+    report_path = Path(args.out).with_suffix(".report.json")
+    with contextlib.ExitStack() as stack:  # the report is written before the checkpoint commits, and with it
         pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         writer = stack.enter_context(_Writer(args.out, pretrained.items(), pretrained.metadata))
         report = _weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads, writer.write)
-    report_path = Path(args.out).with_suffix(".report.json")
-    _write_text(report_path, report.to_json() + "\n")
+        stack.enter_context(_Replacement(report_path, (report.to_json() + "\n").encode("utf-8")))
     log.info("wrote %s and %s", args.out, report_path)
     return 0
 

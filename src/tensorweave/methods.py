@@ -134,11 +134,16 @@ def _sweep(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: Mer
     """
     with np.errstate(over="ignore", invalid="ignore"):
         base = registry_lookup(spec.method).kernel(name, flats, indices, spec)
-        top = (lambdas[-1] * base).astype(np.float32)
+        top = _scaled(base, lambdas[-1])
         if not np.isfinite(top).all():
-            lam = next(lam for lam in lambdas if not np.isfinite((lam * base).astype(np.float32)).all())
+            lam = next(lam for lam in lambdas if not np.isfinite(_scaled(base, lam)).all())
             raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32")
-    return top, itertools.chain(((lam * base).astype(np.float32) for lam in lambdas[:-1]), [top])
+    return top, itertools.chain((_scaled(base, lam) for lam in lambdas[:-1]), [top])
+
+
+def _scaled(values: np.ndarray, factor: float) -> np.ndarray:
+    """``f32(factor * values)`` in one pass: each product is made in float64 and rounded once into float32."""
+    return np.multiply(values, factor, out=np.empty(values.shape, np.float32), dtype=np.float64, casting="same_kind")
 
 
 def _member_maps(deltas: Sequence[TaskVector], method: _Method, spec: MergeSpec,
@@ -192,8 +197,7 @@ def _dare_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     p = spec._require("drop_rate")
     inv_keep = 1.0 / (1.0 - p)
     return _accumulate(  # one masked task vector at a time
-        np.where(uniform01(stream_key(spec.seed, name, lane=index), flat.size) >= p,
-                 flat.astype(np.float64) * inv_keep, 0.0).astype(np.float32)
+        _bit_select(uniform01(stream_key(spec.seed, name, lane=index), flat.size) >= p, _scaled(flat, inv_keep))
         for index, flat in zip(indices, flats)
     )
 

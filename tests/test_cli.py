@@ -508,7 +508,14 @@ def test_analyze_best_lambda_duplicate_exits_2(tmp_path, capsys):
      "line 3: field larger than field limit (131072)"),
     (b"task,lambda,accuracy\na,0.5,0.7\n\xff,1.0,0.9\n",
      "'utf-8' codec can't decode byte 0xff in position 31: invalid start byte"),
-], ids=["empty-task", "no-rows", "field-over-the-limit", "not-utf-8"])
+    # past the text decoder's first chunk of 8 KiB, the position still counts from the start of the file
+    (b"task,lambda,accuracy\n" + b"a,0.5,0.7\n" * 4090 + b"\xff,1.0,0.9\n",
+     "'utf-8' codec can't decode byte 0xff in position 40921: invalid start byte"),
+    # and it counts the byte order mark
+    (b"\xef\xbb\xbftask,lambda,accuracy\na,0.5,0.7\n\xff,1.0,0.9\n",
+     "'utf-8' codec can't decode byte 0xff in position 34: invalid start byte"),
+], ids=["empty-task", "no-rows", "field-over-the-limit", "not-utf-8", "not-utf-8-past-a-chunk",
+        "not-utf-8-after-a-bom"])
 def test_analyze_best_lambda_csv_faults_exit_2_naming_the_file(tmp_path, capsys, content, message):
     csv = tmp_path / "acc.csv"
     csv.write_bytes(content)
@@ -600,19 +607,22 @@ def test_fault_in_a_late_tensor_writes_no_file(tmp_path, capsys, command):
 def test_failed_json_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "out"
     out.mkdir()
+    # the checkpoint written with the JSON, if any, is committed only with it
     if command == "weave":
         argv = ("weave", "--method", "task_arithmetic", "--pretrained", PRE, "--out", out / "w.safetensors", CARS)
-        target = out / "w.report.json"
+        target, checkpoint = out / "w.report.json", out / "w.safetensors"
     elif command == "analyze sweep":
         argv = ("analyze", "sweep", "--method", "task_arithmetic", "--lambda-range", "[0.5]",
                 "--pretrained", PRE, "--out-dir", out, CARS)
-        target = out / "manifest.json"
+        target, checkpoint = out / "manifest.json", out / "task_arithmetic_lambda0.5.safetensors"
     else:
         csv = tmp_path / "acc.csv"
         csv.write_text("task,lambda,accuracy\na,0.5,0.7\n")
         argv = ("analyze", "best-lambda", "--csv", csv, "--out", out / "hist.json")
-        target = out / "hist.json"
+        target, checkpoint = out / "hist.json", None
     target.write_text("previous\n")
+    if checkpoint is not None:
+        checkpoint.write_bytes(b"previous checkpoint")
 
     class FailingWrite:
         def __init__(self, handle):
@@ -635,6 +645,8 @@ def test_failed_json_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch
     assert run(*argv) == 1
     assert capsys.readouterr().err.splitlines() == ["error: No space left on device"]
     assert target.read_text() == "previous\n"
+    if checkpoint is not None:
+        assert checkpoint.read_bytes() == b"previous checkpoint"
     assert not [p.name for p in out.iterdir() if p.name.endswith(".partial")]
 
 

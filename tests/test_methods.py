@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorweave import (
+    CheckpointError,
     MergeSpec,
+    SearchSpace,
     TaskVector,
     TensorMap,
     available_methods,
     breadcrumbs,
+    build_augmented,
     dare,
     magmax,
     registry_lookup,
@@ -567,3 +570,36 @@ def test_merge_rejects_empty_and_mismatched(rng):
 
     with pytest.raises(FingerprintMismatch):
         task_arithmetic([good[0], bad[0]], spec)
+
+
+# a tensor over two blocks of 32K draws and into a third, with signed zeros among its values
+_BLOCKS_SIZE = 2 * 32768 + 7
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5, 0.9])
+def test_dare_matches_oracle_across_draw_blocks(drop_rate):
+    gen = np.random.default_rng(19)
+    rows = [gen.normal(0.0, 1.0, _BLOCKS_SIZE).astype(np.float32) for _ in range(2)]
+    rows[0][::5], rows[1][::7] = 0.0, -0.0
+    deltas = vecs(*rows)
+    out = dare(deltas, MergeSpec("dare", lam=0.7, params={"drop_rate": drop_rate}, seed=2024))
+    expected = oracles.merge_dare([row.tolist() for row in rows], 0.7, drop_rate=drop_rate, seed=2024,
+                                  tensor_name="w", task_indices=[1, 2])
+    assert out.array("w").tobytes() == f32_bytes(expected)
+
+
+@pytest.mark.parametrize("drop_rate, value, message", [
+    # a kept element of 3e38 rescales by 1 / (1 - 0.5) to 6e38, beyond float32 at every factor
+    (0.5, 3e38, "tensor 'w': merged delta at lambda 0.5 overflows float32"),
+    # nothing is dropped and 2e38 + 2e38 = 4e38 is finite in float64: float32 overflows from lambda 1.0
+    (0.0, 2e38, "tensor 'w': merged delta at lambda 1.0 overflows float32"),
+])
+def test_dare_overflowing_rescale_names_smallest_lambda(drop_rate, value, message):
+    row = np.zeros(_BLOCKS_SIZE, dtype=np.float32)
+    spec = MergeSpec("dare", params={"drop_rate": drop_rate}, seed=5)
+    keep = np.flatnonzero(np.array(oracles.uniform01(oracles.stream_key(5, "w", 1), _BLOCKS_SIZE)) >= drop_rate)
+    row[keep[keep >= 32768][0]] = value  # the first kept element past the first block of draws
+    space = SearchSpace((0.5, 0.8, 1.0, 1.5))
+    with pytest.raises(CheckpointError) as caught:
+        build_augmented(vecs(row, row), dare, spec, space)
+    assert str(caught.value) == message

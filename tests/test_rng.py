@@ -51,3 +51,15 @@ def test_uniform_range_and_moments():
     # mean 0.5 +- ~6 sigma, variance 1/12
     assert abs(draws.mean() - 0.5) < 6 * (1 / 12) ** 0.5 / 200_000**0.5
     assert abs(draws.var() - 1 / 12) < 0.002
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1, stream_key(4242, "layers.0.weight", 2)],
+                         ids=["zero", "max", "stream-key"])
+def test_matches_scalar_reference_across_block_edges(key):
+    # counts 2**k - 1, 2**k and 2**k + 1 for k = 13..17 straddle the edges of any block of 8K to 128K draws,
+    # and key 2**64 - 1 makes key + (i + 1) * GOLDEN wrap; the reference is a pure function of the index,
+    # so one long run of it serves every count
+    counts = [2**k + d for k in range(13, 18) for d in (-1, 0, 1)]
+    expected = np.array(oracles.uniform01(key, max(counts)))
+    for count in counts:
+        assert uniform01(key, count).tobytes() == expected[:count].tobytes(), count

@@ -270,6 +270,15 @@ def test_pool_matches_scalar_reference(rng):
         assert out.array("x").tolist() == expected
 
 
+def test_pool_random_matches_scalar_reference_across_draw_blocks():
+    # members over two blocks of 32K draws and into a third: each element's pick comes from its own draw
+    gen = np.random.default_rng(23)
+    members = [gen.normal(0.0, 1.0, 2 * 32768 + 7).astype(np.float32) for _ in range(5)]
+    out = pool([tmap(w=m) for m in members], PoolSpec(pooling="random", seed=2024))
+    expected = oracles.pool_members([m.tolist() for m in members], "random", 2024, "w")
+    assert out.array("w").tobytes() == np.array(expected, np.float32).tobytes()
+
+
 def test_pool_requires_members_and_compatibility(rng):
     with pytest.raises(ValueError):
         pool([], PoolSpec())
