@@ -175,7 +175,8 @@ def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: Me
 
     def rebased_members(name: str) -> Iterator[Tensor]:
         pre, _, _, members = _tensor_sweep(name, pretrained, finetuned, labels, spec, space)
-        return (_rebased(name, pre, member.reshape(pre.shape), pretrained[name].stored_dtype) for member in members)
+        return (_rebased(name, pre, member.reshape(pre.shape), pretrained[name].stored_dtype)
+                for member in members(slice(None)))
 
     with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
         writers = [stack.enter_context(_Writer(path, pretrained.items(), pretrained.metadata)) for path in paths]

@@ -15,7 +15,6 @@ can be checked bit-for-bit against a scalar reference.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rng import _check_seed, stream_key, uniform01
+from .rng import _BLOCK, _check_seed, stream_key, uniform01
 from .store import CheckpointError, TensorMap
 from .vectors import TaskVector, _check_deltas
 
@@ -104,13 +103,20 @@ def _bit_select(mask: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) ->
     return np.bitwise_xor(picked, b, out=picked).view(np.float32)
 
 
-def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
-    """Elementwise sum, float64 accumulation in order from +0.0; ``parts`` is consumed one at a time."""
+def _accumulate(parts: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise sum, float64 accumulation in order from +0.0, into ``out`` if given; ``parts`` is consumed one
+    at a time."""
     parts = iter(parts)
-    acc = np.add(0.0, next(parts), dtype=np.float64)
+    acc = np.add(0.0, next(parts), out=out, dtype=np.float64)
     for part in parts:
         np.add(acc, part, out=acc)
     return acc
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    """The slices that cover ``size`` elements in blocks of ``_BLOCK``, in order; an elementwise pass made block
+    by block keeps its operands in cache."""
+    return (slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK))
 
 
 # A base kernel computes the factor-free part of a merge for one tensor,
@@ -121,9 +127,9 @@ _BaseKernel = Callable[[str, list[np.ndarray], Sequence[int], MergeSpec], np.nda
 
 
 def _sweep(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec,
-           lambdas: Sequence[float]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Tensor ``name``'s merged deltas at ``lambdas`` (flat float32): the checked top-factor member,
-    and every member in sweep order, each cast when reached.
+           lambdas: Sequence[float]) -> tuple[np.ndarray, Callable[[slice], Iterator[np.ndarray]]]:
+    """Tensor ``name``'s merged deltas at ``lambdas`` (flat float32): the checked top-factor member, and
+    ``members(part)``, which gives every member's ``part`` in sweep order, each cast when reached.
 
     The spec's method picks the base kernel, which runs once; the member at
     ``lam`` is ``lam * base`` rounded to float32. An overflow inside the
@@ -138,7 +144,11 @@ def _sweep(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: Mer
         if not np.isfinite(top).all():
             lam = next(lam for lam in lambdas if not np.isfinite(_scaled(base, lam)).all())
             raise CheckpointError(f"tensor {name!r}: merged delta at lambda {lam} overflows float32")
-    return top, itertools.chain((_scaled(base, lam) for lam in lambdas[:-1]), [top])
+
+    def members(part: slice) -> Iterator[np.ndarray]:
+        yield from (_scaled(base[part], lam) for lam in lambdas[:-1])
+        yield top[part]
+    return top, members
 
 
 def _scaled(values: np.ndarray, factor: float) -> np.ndarray:
@@ -156,7 +166,7 @@ def _member_maps(deltas: Sequence[TaskVector], method: _Method, spec: MergeSpec,
     per_tensor = {}
     for name, tensor in deltas[0].delta.items():
         _, members = _sweep(name, [tv.delta.array(name).ravel() for tv in deltas], indices, spec, lambdas)
-        per_tensor[name] = [member.reshape(tensor.shape) for member in members]
+        per_tensor[name] = [member.reshape(tensor.shape) for member in members(slice(None))]
     return [TensorMap({name: members[pos] for name, members in per_tensor.items()}) for pos in range(len(lambdas))]
 
 
@@ -222,29 +232,37 @@ def _trim_count(fraction: float, size: int) -> int:
     return min(size, max(1, math.ceil(fraction * size - 1e-9)))
 
 
-def _top_mask(mag: np.ndarray, count: int, ties_low: bool = True) -> np.ndarray:
-    """Mask of the ``count`` largest entries of ``mag``, selected by partition.
+def _magnitude_bits(flat: np.ndarray) -> np.ndarray:
+    """The ``uint32`` bits of ``|flat|`` (flat float32). For non-negative floats that are not NaN, the bits
+    order as the values do and are equal where they are equal, ``+0.0`` being every zero's magnitude."""
+    return np.abs(flat).view(np.uint32)
+
+
+def _top_mask(bits: np.ndarray, count: int, ties_low: bool = True) -> np.ndarray:
+    """Mask of the ``count`` largest entries of ``bits``, selected by partition: the ``uint32`` bits of
+    non-negative magnitudes (``_magnitude_bits``), or their complement ``~bits`` for the smallest magnitudes.
 
     Every entry above the ``count``-th largest value is selected, and the
     slots left over go to the entries equal to that value. Tie rules:
 
-    - ``ties_low`` (``ties``; the small side of ``breadcrumbs`` on ``-mag``):
+    - ``ties_low`` (``ties``; the small side of ``breadcrumbs`` on ``~bits``):
       the lowest flat indices win, the first ``count`` of a stable sort by
       descending value;
     - otherwise (the large side of ``breadcrumbs``): the highest flat
       indices win, the last ``count`` of a stable sort by ascending value.
 
-    ``mag`` must hold no NaN, which finite tensors guarantee.
+    The magnitudes must not be NaN, which finite tensors guarantee; then
+    the bits give the magnitudes' order and ties, and partition faster.
     """
-    size = mag.size
+    size = bits.size
     if count <= 0:
         return np.zeros(size, dtype=bool)
     if count >= size:
         return np.ones(size, dtype=bool)
-    threshold = np.partition(mag, size - count)[size - count]
-    mask = mag > threshold
+    threshold = np.partition(bits, size - count)[size - count]
+    mask = bits > threshold
     need = count - int(np.count_nonzero(mask))
-    tied = np.flatnonzero(mag == threshold)
+    tied = np.flatnonzero(bits == threshold)
     mask[tied[:need] if ties_low else tied[tied.size - need :]] = True
     return mask
 
@@ -258,22 +276,32 @@ def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     mean of trimmed values matching the elected sign, scaled by lam.
     """
     k = spec._require("keep_fraction")
-    keep = _trim_count(k, flats[0].size)
-    trimmed = [_bit_select(_top_mask(np.abs(flat), keep), flat) for flat in flats]
+    size = flats[0].size
+    keep = _trim_count(k, size)
+    trimmed = [_bit_select(_top_mask(_magnitude_bits(flat), keep), flat) for flat in flats]
 
-    elected = np.sign(_accumulate(trimmed))
-
-    # agree_sum starts at +0.0 and never becomes -0.0 (x + -x rounds to
-    # +0.0), so adding the signed zeros that values * agrees leaves for
-    # disagreeing elements changes no bit; where no value agrees, the sum
-    # is still +0.0 and dividing it by 1 gives the mean's +0.0 fallback
-    agree_sum = np.zeros(flats[0].size, dtype=np.float64)
-    agree_count = np.zeros(flats[0].size, dtype=np.int64)
-    for values in trimmed:
-        agrees = np.sign(values) == elected
-        np.add(agree_sum, values * agrees, out=agree_sum)
-        np.add(agree_count, agrees, out=agree_count)
-    return np.divide(agree_sum, np.maximum(agree_count, 1), out=agree_sum)
+    # the election and the mean go block by block, so each pass reads operands still in cache; the buffers are
+    # this call's own, as worker threads weave tensors at once
+    base = np.empty(size, dtype=np.float64)
+    buffers = [np.empty(min(size, _BLOCK), dtype) for dtype in (np.float32, np.float32, bool, np.int32)]
+    for part in _blocks(size):
+        block = [values[part] for values in trimmed]
+        elected, kept, agrees, count = (buffer[: part.stop - part.start] for buffer in buffers)
+        agree_sum = base[part]
+        np.sign(_accumulate(block, out=agree_sum), out=elected)  # +1.0, -1.0 or 0.0
+        agree_sum.fill(0.0)
+        count.fill(0)
+        for values in block:
+            # a value agrees where it has the elected sign, so where values * elected (exact) is > 0. Where the
+            # elected sign is 0, only zeros would agree; counted or not, they leave the mean +0.0. agree_sum
+            # starts at +0.0 and never becomes -0.0 (x + -x rounds to +0.0), so adding the signed zeros that
+            # values * agrees leaves where a value disagrees changes no bit; where none agrees, the sum is
+            # still +0.0 and dividing it by 1 gives the mean's +0.0 fallback
+            np.greater(np.multiply(values, elected, out=kept), 0, out=agrees)
+            np.add(agree_sum, np.multiply(values, agrees, out=kept), out=agree_sum)
+            np.add(count, agrees.view(np.uint8), out=count)
+        np.divide(agree_sum, np.maximum(count, 1, out=count), out=agree_sum)
+    return base
 
 
 def _check_ties(spec: MergeSpec) -> None:
@@ -299,8 +327,8 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
     n_large = int(math.floor(gamma * size + 1e-9))
 
     def masked(flat: np.ndarray) -> np.ndarray:
-        mag = np.abs(flat)
-        return _bit_select(~(_top_mask(-mag, n_small) | _top_mask(mag, n_large, ties_low=False)), flat)
+        bits = _magnitude_bits(flat)
+        return _bit_select(~(_top_mask(~bits, n_small) | _top_mask(bits, n_large, ties_low=False)), flat)
     return _accumulate(map(masked, flats))  # one masked task vector at a time
 
 

@@ -194,9 +194,10 @@ class _Entry:
 class _Reader:
     """An open checkpoint whose whole header was checked on open; tensors are read on demand.
 
-    Items are header entries (stored dtype and shape, no values). ``tensor``
-    and ``array`` read one tensor into a fresh buffer by a positional read,
-    so threads may share a reader, and nothing else of the file is held.
+    Items are header entries (stored dtype and shape, no values). ``read``
+    reads one tensor into a fresh buffer by a positional read, so threads
+    may share a reader, and nothing else of the file is held; ``tensor``
+    and ``array`` are that read, checked.
     Use it as a context manager, which closes the file.
     """
 
@@ -226,7 +227,12 @@ class _Reader:
         return self.tensor(name).values
 
     def tensor(self, name: str) -> Tensor:
-        """Tensor ``name``, read from the file now: a NaN, an Inf or a short read is an error.
+        """Tensor ``name``, read from the file now: a NaN, an Inf or a short read is an error."""
+        return Tensor(self.read(name), self[name].stored_dtype, f"{self.path}: tensor {name!r}: {_NON_FINITE}")
+
+    def read(self, name: str) -> np.ndarray:
+        """Tensor ``name``'s values, read from the file now into a fresh writable float32 buffer, not yet checked
+        for finiteness; a short read is an error.
 
         F16 widens exactly, each code looked up in ``_F16_TO_F32``: the same
         bits as ``astype(np.float32)``, in less time than the cast. The
@@ -251,7 +257,7 @@ class _Reader:
                 end = start + _F16_BLOCK
                 # every code is in range, so "wrap" changes none, and unlike "raise" it does not buffer out
                 np.take(_F16_TO_F32, codes[start:end], out=widened[start:end], mode="wrap")
-        return Tensor(values, entry.stored_dtype, f"{self.path}: tensor {name!r}: {_NON_FINITE}")
+        return values
 
 
 def _parse_header(path, handle) -> tuple[int, dict[str, _Entry], dict[str, str]]:

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .store import Tensor, TensorMap, _stream, require_compatible
+from .store import CheckpointError, Tensor, TensorMap, _Reader, _stream, require_compatible
 
 __all__ = [
     "TaskVector",
@@ -52,7 +52,7 @@ def compute_deltas(
 
 def _task_vectors(name: str, pre: np.ndarray, finetuned: Sequence[TensorMap], labels: list[str]) -> Iterator[Tensor]:
     """Tensor ``name``'s task vectors, in checkpoint order, each made (its fine-tuned tensor read) when reached."""
-    return (_task_delta(label, name, candidate.array(name), pre) for label, candidate in zip(labels, finetuned))
+    return (_task_delta(label, name, candidate, pre) for label, candidate in zip(labels, finetuned))
 
 
 def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str] | None) -> list[str]:
@@ -74,13 +74,27 @@ def _check_deltas(maps: Sequence[TensorMap], caller: str, kind: str = "task vect
         require_compatible(maps[0], candidate, label=f"{kind} {pos}")
 
 
-def _task_delta(label: str, name: str, finetuned: np.ndarray, pretrained: np.ndarray) -> Tensor:
-    """Tensor ``name``'s task vector, finetuned - pretrained; an overflow names the checkpoint and the tensor."""
-    with np.errstate(over="ignore"):  # both inputs are finite: Inf here is an overflow
-        return Tensor(
-            finetuned - pretrained,
-            error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows float32",
-        )
+def _task_delta(label: str, name: str, finetuned: TensorMap, pretrained: np.ndarray) -> Tensor:
+    """Tensor ``name``'s task vector, fine-tuned minus ``pretrained``, checked once for finiteness.
+
+    An open reader's tensor is read into a fresh buffer, and the difference
+    is made in that buffer; a loaded map's values are read-only, so there it
+    goes to a new array. A non-finite difference is an overflow naming the
+    checkpoint and the tensor, unless the fine-tuned values are not finite
+    themselves: the tensor is then read again, checked, and that error, the
+    file's own, is raised, as it would have been had the read come first.
+    """
+    from_reader = isinstance(finetuned, _Reader)
+    values = finetuned.read(name) if from_reader else finetuned.array(name)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference is an error just below
+        delta = np.subtract(values, pretrained, out=values if from_reader else None)
+    try:
+        return Tensor(delta, error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
+                                   "float32")
+    except CheckpointError:
+        if from_reader:
+            finetuned.tensor(name)
+        raise
 
 
 def add(base: TensorMap, delta: TensorMap) -> TensorMap:

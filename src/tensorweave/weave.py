@@ -10,15 +10,17 @@ task vectors, the merge kernel's base, the members the pooling needs and
 the pooled delta are made, used and released before the next tensor.
 Each woven tensor goes to a sink in name order: ``weave`` returns them
 as a float32 model, and the CLI writes each one to its file, holding no
-whole output. The inputs' values are read through ``.array(name)`` only:
-loaded maps are held whole by the caller, but the CLI passes open readers,
-which read each input tensor when it is woven. Beyond that, each worker
-thread holds a small multiple of (tasks + members) x the tensor in flight:
-its pre-trained values and task vectors (one fine-tuned tensor read at a
-time), the kernel's float64 base and intermediates, and one member cast
-at a time (``avg`` adds each into a float64 sum; ``magmax`` casts only
-the top member, since a member that ties it has its bits). Only ``random``
-stacks a copy of all members.
+whole output. The inputs' values are read through ``.array(name)``, and
+an open reader's fine-tuned tensor through ``.read(name)``, into a fresh
+buffer that its task vector is made in: loaded maps are held whole by the
+caller, but the CLI passes open readers, which read each input tensor when
+it is woven. Beyond that, each worker thread holds a small multiple of
+tasks x the tensor in flight: its pre-trained values and task vectors, the
+kernel's float64 base and intermediates, and the top member. The other
+members are cast block by block, 32K elements at a time, when the pooling
+reaches them: ``avg`` adds each into one float64 block, ``random`` stacks
+one block of every member, and ``magmax`` casts none, since a member that
+ties the top one in magnitude has its bits.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
-from .rng import _check_seed, stream_key, uniform01
+from .methods import (MergeSpec, _accumulate, _blocks, _builtin, _largest_magnitude, _member_maps, _sweep,
+                      registry_lookup)
+from .rng import _BLOCK, _check_seed, stream_key, uniform01
 from .store import Tensor, TensorMap, _stream
 from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 
@@ -161,22 +164,32 @@ def build_augmented(
     return _member_maps(deltas, _builtin(merge_fn), spec_template, space.lambdas)
 
 
-def _pool(name: str, raw: list[np.ndarray], top: np.ndarray, sweep: Iterable[np.ndarray], count: int,
-          pooling: str, seed: int) -> np.ndarray:
-    """Tensor ``name``'s ``count`` members pooled: the ``raw`` task vectors, then ``sweep``'s, ending with ``top``.
-    Each pooling takes only the members it needs; ties resolve to the lowest member index.
+def _pool(name: str, raw: list[np.ndarray], top: np.ndarray, members: Callable[[slice], Iterator[np.ndarray]],
+          count: int, pooling: str, seed: int) -> np.ndarray:
+    """Tensor ``name``'s ``count`` members pooled: the ``raw`` task vectors, then the sweep's, whose ``part`` is
+    ``members(part)``, ending with ``top``. Each pooling takes only the members it needs; ties resolve to the
+    lowest member index.
 
-    ``avg`` sums them one at a time, ``magmax`` draws no sweep member but ``top``, and ``random`` stacks them all.
+    ``magmax`` draws no sweep member but ``top``. ``avg`` and ``random`` go block by block, each block's members
+    cast when reached: ``avg`` sums them one at a time into one float64 block, and ``random`` stacks one block of
+    every member.
     """
-    if pooling == "avg":
-        return (_accumulate(itertools.chain(raw, sweep)) / count).astype(np.float32)
     if pooling == "magmax":
         # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member that ties top has its bits
         return _largest_magnitude([*raw, top])
-    stack = np.stack([*raw, *sweep])
-    draws = uniform01(stream_key(seed, name, lane=0), stack.shape[1])
-    picked = np.minimum((draws * count).astype(np.int64), count - 1)
-    return stack[picked, np.arange(stack.shape[1])]
+    pooled = np.empty(top.size, dtype=np.float32)
+    if pooling == "avg":
+        total = np.empty(min(top.size, _BLOCK), dtype=np.float64)  # this call's own: threads pool at once
+        for part in _blocks(top.size):
+            block = _accumulate(itertools.chain((r[part] for r in raw), members(part)), total[: part.stop - part.start])
+            np.divide(block, count, out=pooled[part], dtype=np.float64, casting="same_kind")  # rounded once
+        return pooled
+    draws = uniform01(stream_key(seed, name, lane=0), top.size)
+    for part in _blocks(top.size):
+        stack = np.stack([*(r[part] for r in raw), *members(part)])
+        picked = np.minimum((draws[part] * count).astype(np.int64), count - 1)
+        pooled[part] = stack[picked, np.arange(stack.shape[1])]
+    return pooled
 
 
 def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
@@ -189,16 +202,18 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
     out = {}
     for name, tensor in members[0].items():
         *raw, top = [m.array(name).ravel() for m in members]
-        out[name] = _pool(name, raw, top, [top], len(members), spec.pooling, spec.seed).reshape(tensor.shape)
+        pooled = _pool(name, raw, top, lambda part: iter([top[part]]), len(members), spec.pooling, spec.seed)
+        out[name] = pooled.reshape(tensor.shape)
     return TensorMap(out)
 
 
 def _tensor_sweep(
     name: str, pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str], spec: MergeSpec,
     space: SearchSpace,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, Iterator[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, Callable[[slice], Iterator[np.ndarray]]]:
     """Tensor ``name``'s sweep from the inputs: the pre-trained values, each task vector (flat),
-    the checked top-factor member and every member in sweep order, each cast when reached (flat).
+    the checked top-factor member and ``members(part)``, every member's ``part`` in sweep order, each cast when
+    reached (flat).
 
     An overflowing member is an error, whatever uses the sweep.
     """
@@ -244,9 +259,9 @@ def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template:
     n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
 
     def weave_one(name: str) -> tuple[Tensor]:
-        pre, flats, top, sweep = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
+        pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
         raw = flats if pool_spec.include_deltas else []
-        pooled = _pool(name, raw, top, sweep, n_members, pool_spec.pooling, pool_spec.seed)
+        pooled = _pool(name, raw, top, members, n_members, pool_spec.pooling, pool_spec.seed)
         return (_rebased(name, pre, pooled.reshape(pre.shape), pretrained[name].stored_dtype,
                          "pre-trained plus pooled delta"),)
 

@@ -959,6 +959,19 @@ def test_console_script_keeps_freed_memory_for_the_next_tensor(tmp_path):
     assert kept.read_bytes() == plain.read_bytes()
 
 
+@pytest.mark.parametrize("call, frozen", [("cli.entrypoint()", True), ("sys.exit(cli.main())", False)])
+def test_only_the_console_script_freezes_the_objects_of_the_imports(call, frozen):
+    # the console script freezes them so that the collections at exit pass over them; main(), the import
+    # and the library leave the collector alone. The child reports gc's freeze count from inside main()
+    probe = ("import gc, sys, tensorweave.cli as cli; real_main = cli.main; "
+             f"cli.main = lambda: print(gc.get_freeze_count(), file=sys.stderr) or real_main(); {call}")
+    result = subprocess.run([sys.executable, "-c", probe, "inspect", str(PRE)], env=child_env(), capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0
+    assert (int(result.stderr) > 0) == frozen
+    assert result.stdout.endswith(" elements\n")
+
+
 OUTPUTS_GOLDEN = FIXTURES / "output_sha256.json"
 POOLINGS = ("avg", "random", "magmax")
 

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from tensorweave import (
     add,
     compute_deltas,
     cosine_matrix,
+    CheckpointError,
     read_checkpoint,
     store,
+    write_checkpoint,
 )
 
 from .conftest import FIXTURES, as_task_vectors, random_instance, random_map
@@ -57,6 +60,66 @@ def test_compute_deltas_over_readers_equals_over_loaded_maps():
         streamed = compute_deltas(pre, finetuned, labels=["a", "b", "c"])
     assert [(tv.source_name, tv.index) for tv in streamed] == [("a", 1), ("b", 2), ("c", 3)]
     assert streamed == loaded
+
+
+def write_models(folder, models: dict[str, dict[str, list[float]]], nan_at: tuple[str, int] | None = None) -> list:
+    """Each model written to ``<folder>/<stem>.safetensors``, in order; ``nan_at`` (stem, value index) makes that
+    value of the model's single tensor a NaN in the file, which no TensorMap holds."""
+    paths = []
+    for stem, tensors in models.items():
+        path = folder / f"{stem}.safetensors"
+        write_checkpoint(tmap(**tensors), path)
+        if nan_at is not None and nan_at[0] == stem:
+            blob = bytearray(path.read_bytes())
+            offset = len(blob) - 4 * (len(next(iter(tensors.values()))) - nan_at[1])
+            blob[offset : offset + 4] = struct.pack("<f", float("nan"))
+            path.write_bytes(bytes(blob))
+        paths.append(path)
+    return paths
+
+
+def deltas_error(paths, loaded: bool) -> str:
+    """The message of the error ``compute_deltas`` raises on the models at ``paths``, pre-trained first, given
+    loaded maps or open readers; loading a model that holds a NaN raises the same message."""
+    with pytest.raises(CheckpointError) as caught, contextlib.ExitStack() as stack:
+        if loaded:
+            pre, *finetuned = (read_checkpoint(path) for path in paths)
+        else:
+            pre, *finetuned = (stack.enter_context(store._Reader(path)) for path in paths)
+        compute_deltas(pre, finetuned)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_non_finite_fine_tuned_value_is_reported_as_the_file_s_own_error(tmp_path, loaded):
+    # the NaN's difference is NaN too, and 3e38 - (-3e38) overflows beside it; still the file's error comes first
+    models = {"pre": {"x": [-3e38, 0.0, 1.0]}, "near": {"x": [0.0, 1.0, 1.0]}, "far": {"x": [3e38, 0.0, 1.0]}}
+    paths = write_models(tmp_path, models, nan_at=("far", 1))
+    assert deltas_error(paths, loaded) == f"{paths[2]}: tensor 'x': non-finite value (NaN or Inf)"
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_overflowing_task_vector_is_reported_before_a_later_task_s_faults(tmp_path, loaded):
+    # through readers, the later task's file also holds a NaN; a loaded map could not, so there it is finite
+    models = {"pre": {"x": [-3e38, 0.0]}, "near": {"x": [3e38, 1.0]}, "far": {"x": [0.0, 1.0]}}
+    paths = write_models(tmp_path, models, nan_at=None if loaded else ("far", 1))
+    expected = "task1: tensor 'x': task vector (fine-tuned minus pre-trained) overflows float32"
+    assert deltas_error(paths, loaded) == expected
+
+
+def test_task_vectors_leave_their_inputs_as_they_were():
+    # a loaded map's values are read-only, so its task vector is a new array; a reader reads a fresh buffer
+    # each time, so the task vector made in it changes nothing a later read sees
+    paths = [FIXTURES / f"{name}.safetensors" for name in ("pretrained", "task_cars", "task_half")]
+    loaded = [read_checkpoint(path) for path in paths]
+    compute_deltas(loaded[0], loaded[1:])
+    assert loaded == [read_checkpoint(path) for path in paths]
+    with contextlib.ExitStack() as stack:
+        pre, *finetuned = (stack.enter_context(store._Reader(path)) for path in paths)
+        compute_deltas(pre, finetuned)
+        for reader, expected in zip(finetuned, loaded[1:]):
+            assert {name: reader.array(name).tobytes() for name in reader.names} == {
+                name: t.values.tobytes() for name, t in expected.items()}
 
 
 def test_compute_deltas_requires_a_finetuned_checkpoint():

@@ -406,8 +406,8 @@ def test_weave_equals_naive_oracle(rng, method, params, pooling):
 @pytest.mark.parametrize("pooling, drawn_per_tensor", [("avg", 3), ("random", 3), ("magmax", 0)])
 def test_each_pooling_draws_only_the_sweep_members_it_needs(monkeypatch, rng, pooling, drawn_per_tensor,
                                                             include_deltas):
-    # magmax pools the top member, which the sweep hands over already cast; drawing the member iterator
-    # would cast every other member for nothing, and avg must stream it
+    # magmax pools the top member, which the sweep hands over already cast; drawing members(part) would
+    # cast every other member for nothing, and avg must stream them
     weave_module = importlib.import_module("tensorweave.weave")
     pre, finetuned = random_instance(rng, 2)
     args = (MergeSpec("ties", params={"keep_fraction": 0.5}), SearchSpace((0.3, 0.8, 1.2)),
@@ -419,11 +419,11 @@ def test_each_pooling_draws_only_the_sweep_members_it_needs(monkeypatch, rng, po
     def counted_sweep(name, *rest):
         values, flats, top, members = tensor_sweep(name, *rest)
 
-        def counted():
-            for member in members:
+        def counted(part):
+            for member in members(part):
                 drawn[name] += 1
                 yield member
-        return values, flats, top, counted()
+        return values, flats, top, counted
 
     monkeypatch.setattr(weave_module, "_tensor_sweep", counted_sweep)
     woven, _ = weave(pre, finetuned, *args)
