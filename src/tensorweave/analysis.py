@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -50,32 +51,28 @@ class AccuracyTable:
         rows: list[tuple[str, float, float]] = []
         lines: list[int] = []
         try:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, None)
-                if header is None or [h.strip() for h in header] != ["task", "lambda", "accuracy"]:
-                    raise CsvFormatError(f"{path}: line 1: header must be 'task,lambda,accuracy'")
-                for lineno, row in enumerate(reader, start=2):
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        continue
-                    if len(row) != 3:
-                        raise CsvFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-                    task = row[0].strip()
-                    if not task:
-                        raise CsvFormatError(f"{path}: line {lineno}: empty task name")
-                    try:
-                        lam, acc = float(row[1]), float(row[2])
-                    except ValueError:
-                        raise CsvFormatError(f"{path}: line {lineno}: non-numeric lambda or accuracy") from None
-                    rows.append((task, lam, acc))
-                    lines.append(lineno)
+            text = Path(path).read_bytes().decode("utf-8")  # decoded whole, so an error's position counts from byte 0
+            reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["task", "lambda", "accuracy"]:
+                raise CsvFormatError(f"{path}: line 1: header must be 'task,lambda,accuracy'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 3:
+                    raise CsvFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                task = row[0].strip()
+                if not task:
+                    raise CsvFormatError(f"{path}: line {lineno}: empty task name")
+                try:
+                    lam, acc = float(row[1]), float(row[2])
+                except ValueError:
+                    raise CsvFormatError(f"{path}: line {lineno}: non-numeric lambda or accuracy") from None
+                rows.append((task, lam, acc))
+                lines.append(lineno)
         except csv.Error as exc:  # a field longer than the csv module's limit
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:  # its position counts from the decoder's chunk: recount from byte 0, BOM too
-            try:
-                Path(path).read_bytes().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
+        except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path}: {exc}") from None
         if not rows:
             raise CsvFormatError(f"{path}: no data rows")

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_emit
 from .methods import _REGISTRY, MergeSpec, available_methods
-from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _Replacement, _stream, _write_text, _Writer
+from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _Replacement, _stream, _Writer
 from .vectors import TaskVector, _cosine, _flat_task_vectors, _task_labels, _task_vectors, cosine_matrix
 from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, default_search_space
 
@@ -61,15 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deltas", help="write one delta checkpoint per fine-tuned input")
+    p.set_defaults(run=_cmd_deltas)
     _add_io_flags(p)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("merge", help="merge once at a fixed scaling factor")
+    p.set_defaults(run=_cmd_merge)
     _add_io_flags(p)
     _add_merge_flags(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("weave", help="sweep scaling factors and pool the merged weights")
+    p.set_defaults(run=_cmd_weave)
     _add_io_flags(p)
     _add_merge_flags(p)
     p.add_argument("--out", required=True)
@@ -87,21 +90,25 @@ def build_parser() -> argparse.ArgumentParser:
     asub = analyze.add_subparsers(dest="analysis", required=True)
 
     p = asub.add_parser("cosine", help="pairwise cosine similarity of task vectors")
+    p.set_defaults(run=_cmd_analyze_cosine)
     p.add_argument("inputs", nargs="+", help="delta checkpoints (or fine-tuned ones with --pretrained)")
     p.add_argument("--pretrained", default=None, help="compute deltas against this checkpoint first")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
 
     p = asub.add_parser("best-lambda", help="histogram of per-task best scaling factors")
+    p.set_defaults(run=_cmd_analyze_best_lambda)
     p.add_argument("--csv", required=True, help="CSV with header task,lambda,accuracy")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
 
     p = asub.add_parser("sweep", help="emit one merged checkpoint per scaling factor")
+    p.set_defaults(run=_cmd_analyze_sweep)
     _add_io_flags(p)
     _add_merge_flags(p)
     p.add_argument("--lambda-range", default=None, help="'start:stop:step' or JSON list; default per method")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("inspect", help="list tensors and metadata of a checkpoint")
+    p.set_defaults(run=_cmd_inspect)
     p.add_argument("path")
 
     return parser
@@ -121,6 +128,14 @@ def _exact(kind: type):
     return convert
 
 
+def _at_least_one(value) -> int:
+    """Conversion to an int, as ``_exact(int)`` converts, that refuses one below 1."""
+    count = _exact(int)(value)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
 # Every option a config file may set: flag dest -> (config key, conversion,
 # default). The conversion applies to the flag or config value, not the default.
 _OPTIONS = {
@@ -131,7 +146,7 @@ _OPTIONS = {
     "lambda_range": ("lambda_range", _lambda_range, None),
     "pooling": ("pooling", str, "avg"),
     "include_deltas": ("include_deltas", _exact(bool), True),
-    "threads": ("threads", _exact(int), 1),
+    "threads": ("threads", _at_least_one, 1),
 }
 
 
@@ -225,8 +240,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_weave(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     pool_spec = PoolSpec(pooling=args.pooling, seed=spec.seed, include_deltas=args.include_deltas)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
     report_path = Path(args.out).with_suffix(".report.json")
     with contextlib.ExitStack() as stack:  # the report is written before the checkpoint commits, and with it
@@ -283,19 +296,9 @@ def _emit_json(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        _write_text(out, text + "\n")
+        with _Replacement(out, (text + "\n").encode("utf-8")):
+            pass
         log.info("wrote %s", out)
-
-
-_COMMANDS = {
-    ("deltas", None): _cmd_deltas,
-    ("merge", None): _cmd_merge,
-    ("weave", None): _cmd_weave,
-    ("analyze", "cosine"): _cmd_analyze_cosine,
-    ("analyze", "best-lambda"): _cmd_analyze_best_lambda,
-    ("analyze", "sweep"): _cmd_analyze_sweep,
-    ("inspect", None): _cmd_inspect,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,10 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         level=level if type(level) is int else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    command = _COMMANDS[(args.command, getattr(args, "analysis", None))]
     try:
         _resolve_options(args, _load_config(getattr(args, "config", None)))
-        return command(args)
+        return args.run(args)
     except (ValueError, CheckpointError, FingerprintMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rng import _BLOCK, _check_seed, stream_key, uniform01
+from .rng import _BLOCK, _blocks, _check_seed, stream_key, uniform01
 from .store import CheckpointError, TensorMap
 from .vectors import TaskVector, _check_deltas
 
@@ -46,7 +46,9 @@ class MergeSpec:
     """Merge-method identifier plus its hyperparameters.
 
     lam is the scaling factor applied to the merged delta; seed drives
-    the per-element dropout of ``dare`` and is ignored elsewhere.
+    the per-element dropout of ``dare`` and is ignored elsewhere. Each
+    parameter the method declares must be given and finite; the spec
+    keeps its own copy of ``params``, every value a float.
     """
 
     method: str
@@ -62,15 +64,13 @@ class MergeSpec:
         unknown = sorted(self.params.keys() - method.params)
         if unknown:
             raise ValueError(f"{self.method} does not accept parameter(s): {', '.join(unknown)}")
+        for key in method.params:
+            if key not in self.params:
+                raise ValueError(f"{self.method} requires parameter {key!r}")
+            if not _is_finite(self.params[key]):
+                raise ValueError(f"{key} must be finite, got {self.params[key]}")
+        object.__setattr__(self, "params", {key: float(value) for key, value in self.params.items()})
         method.check(self)
-
-    def _require(self, key: str) -> float:
-        if key not in self.params:
-            raise ValueError(f"{self.method} requires parameter {key!r}")
-        value = self.params[key]
-        if not _is_finite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
-        return float(value)
 
     def to_json_dict(self) -> dict:
         return {"method": self.method, "lambda": self.lam, "params": dict(self.params), "seed": self.seed}
@@ -111,12 +111,6 @@ def _accumulate(parts: Iterable[np.ndarray], out: np.ndarray | None = None) -> n
     for part in parts:
         np.add(acc, part, out=acc)
     return acc
-
-
-def _blocks(size: int) -> Iterator[slice]:
-    """The slices that cover ``size`` elements in blocks of ``_BLOCK``, in order; an elementwise pass made block
-    by block keeps its operands in cache."""
-    return (slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK))
 
 
 # A base kernel computes the factor-free part of a merge for one tensor,
@@ -204,7 +198,10 @@ def _dare_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     (seed, task index, tensor name, element index), so masks do not
     depend on execution order.
     """
-    p = spec._require("drop_rate")
+    # the task indices are the draws' lanes: a repeated one would repeat a mask
+    if len(set(indices)) != len(indices) or min(indices) < 1:
+        raise ValueError(f"dare needs distinct task indices of at least 1, got {list(indices)}")
+    p = spec.params["drop_rate"]
     inv_keep = 1.0 / (1.0 - p)
     return _accumulate(  # one masked task vector at a time
         _bit_select(uniform01(stream_key(spec.seed, name, lane=index), flat.size) >= p, _scaled(flat, inv_keep))
@@ -213,7 +210,7 @@ def _dare_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
 
 
 def _check_dare(spec: MergeSpec) -> None:
-    p = spec._require("drop_rate")
+    p = spec.params["drop_rate"]
     if not 0 <= p < 1:
         raise ValueError(f"drop_rate must be in [0, 1), got {p}")
 
@@ -275,7 +272,7 @@ def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     element is the sign of the sum of trimmed values. The output is the
     mean of trimmed values matching the elected sign, scaled by lam.
     """
-    k = spec._require("keep_fraction")
+    k = spec.params["keep_fraction"]
     size = flats[0].size
     keep = _trim_count(k, size)
     trimmed = [_bit_select(_top_mask(_magnitude_bits(flat), keep), flat) for flat in flats]
@@ -305,7 +302,7 @@ def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
 
 
 def _check_ties(spec: MergeSpec) -> None:
-    k = spec._require("keep_fraction")
+    k = spec.params["keep_fraction"]
     if not 0 < k <= 1:
         raise ValueError(f"keep_fraction must be in (0, 1], got {k}")
 
@@ -321,7 +318,7 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
     drop the lower flat index first on the small side and the higher flat
     index first on the large side.
     """
-    beta, gamma = spec._require("beta"), spec._require("gamma")
+    beta, gamma = spec.params["beta"], spec.params["gamma"]
     size = flats[0].size
     n_small = int(math.floor(beta * size + 1e-9))
     n_large = int(math.floor(gamma * size + 1e-9))
@@ -333,7 +330,7 @@ def _breadcrumbs_base(name: str, flats: list[np.ndarray], indices: Sequence[int]
 
 
 def _check_breadcrumbs(spec: MergeSpec) -> None:
-    beta, gamma = spec._require("beta"), spec._require("gamma")
+    beta, gamma = spec.params["beta"], spec.params["gamma"]
     if not (0 <= beta < 1 and 0 <= gamma < 1 and beta + gamma < 1):
         raise ValueError(
             f"beta and gamma must each be in [0, 1) with beta + gamma < 1, "

@@ -18,6 +18,7 @@ block starts from its first index, so the bits are those of one pass.
 from __future__ import annotations
 
 import numbers
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +30,12 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _BLOCK = 1 << 15  # draws per block: two uint64 buffers of 256 KiB, which stay in a 2 MiB L2
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # (i + 1) * GOLDEN mod 2**64
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    """The slices that cover ``size`` elements in blocks of ``_BLOCK``, in order; an elementwise pass made block
+    by block keeps its operands in cache."""
+    return (slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK))
 
 
 def _mix64(z: int) -> int:
@@ -68,14 +75,13 @@ def uniform01(key: int, count: int) -> np.ndarray:
     """
     out = np.empty(count, dtype=np.float64)
     z, t = np.empty(min(count, _BLOCK), dtype=np.uint64), np.empty(min(count, _BLOCK), dtype=np.uint64)
-    for start in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - start)
-        zb, tb = z[:n], t[:n]
-        np.add(_STEPS[:n], np.uint64((key + start * _GOLDEN) & _MASK64), out=zb)
+    for part in _blocks(count):
+        zb, tb = z[: part.stop - part.start], t[: part.stop - part.start]
+        np.add(_STEPS[: zb.size], np.uint64((key + part.start * _GOLDEN) & _MASK64), out=zb)
         np.bitwise_xor(zb, np.right_shift(zb, np.uint64(30), out=tb), out=zb)
         np.multiply(zb, np.uint64(_MIX_A), out=zb)
         np.bitwise_xor(zb, np.right_shift(zb, np.uint64(27), out=tb), out=zb)
         np.multiply(zb, np.uint64(_MIX_B), out=zb)
         np.bitwise_xor(zb, np.right_shift(zb, np.uint64(31), out=tb), out=zb)
-        np.multiply(np.right_shift(zb, np.uint64(11), out=tb), 2.0**-53, out=out[start:start + n])
+        np.multiply(np.right_shift(zb, np.uint64(11), out=tb), 2.0**-53, out=out[part])
     return out

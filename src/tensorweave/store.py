@@ -38,6 +38,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .rng import _blocks
+
 __all__ = [
     "CheckpointError",
     "FingerprintMismatch",
@@ -53,7 +55,6 @@ _NON_FINITE = "non-finite value (NaN or Inf)"
 _MAX_HEADER_LEN = 100_000_000  # the largest header the reference safetensors library accepts
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max  # numpy's cap on itemsize times a shape's nonzero dimensions
 _F16_TO_F32 = np.arange(1 << 16, dtype=np.uint16).view(np.float16).astype(np.float32)  # code -> its float32
-_F16_BLOCK = 1 << 16  # F16 codes widened per take
 
 
 class CheckpointError(Exception):
@@ -253,10 +254,9 @@ class _Reader:
         if entry.stored_dtype == "F16":
             codes, values = buffer.view(np.uint16), np.empty(entry.shape, dtype=np.float32)
             widened = values.reshape(-1)
-            for start in range(0, codes.size, _F16_BLOCK):  # take copies each block's codes as intp indices
-                end = start + _F16_BLOCK
+            for part in _blocks(codes.size):  # take copies each block's codes as intp indices
                 # every code is in range, so "wrap" changes none, and unlike "raise" it does not buffer out
-                np.take(_F16_TO_F32, codes[start:end], out=widened[start:end], mode="wrap")
+                np.take(_F16_TO_F32, codes[part], out=widened[part], mode="wrap")
         return values
 
 
@@ -392,12 +392,6 @@ class _Replacement:
             self.partial.unlink(missing_ok=True)  # nothing left to remove once replaced
 
     def _check_complete(self) -> None:
-        pass
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, replacing it only once complete."""
-    with _Replacement(path, text.encode("utf-8")):
         pass
 
 

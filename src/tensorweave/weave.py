@@ -35,9 +35,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .methods import (MergeSpec, _accumulate, _blocks, _builtin, _largest_magnitude, _member_maps, _sweep,
-                      registry_lookup)
-from .rng import _BLOCK, _check_seed, stream_key, uniform01
+from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
+from .rng import _BLOCK, _blocks, _check_seed, stream_key, uniform01
 from .store import Tensor, TensorMap, _stream
 from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 

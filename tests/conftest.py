@@ -6,10 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tensorweave import TaskVector, TensorMap
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the same examples on every run, and none replayed from an earlier run's database, so a run's result is the
+# code's alone; each test's own @settings still sets its number of examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_map(rng: random.Random, names_shapes: dict[str, tuple[int, ...]], scale=1.0) -> TensorMap:

@@ -319,6 +319,15 @@ def test_weave_threads_below_one_exits_2_before_reading(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_weave_threads_below_one_from_config_names_the_config_key(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"method": "task_arithmetic", "threads": 0}))
+    out = tmp_path / "t0.safetensors"
+    assert run("weave", "--config", config, "--pretrained", PRE, "--out", out, CARS) == 2
+    assert capsys.readouterr().err == "error: config key 'threads': must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"method": "ties", "keep_fraction": 0.5, "lambda": 0.7}))

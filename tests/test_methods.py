@@ -1,6 +1,8 @@
 import copy
 import inspect
+import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +87,24 @@ def test_spec_refuses_a_bool_or_a_non_number(kwargs, message):
     # none of them may pass as a finite number
     with pytest.raises(ValueError, match=message):
         MergeSpec(**kwargs)
+
+
+def test_spec_keeps_its_own_copy_of_its_parameters(rng):
+    # editing the caller's dict afterwards must neither change the merge nor slip a value past the checks
+    params = {"drop_rate": 0.5}
+    spec = MergeSpec("dare", params=params, seed=4)
+    params["drop_rate"] = 5.0
+    params["beta"] = 0.1
+    assert spec.params == {"drop_rate": 0.5}
+    deltas = as_task_vectors([random_map(rng, {"a": (64,)})])
+    assert np.count_nonzero(dare(deltas, spec).array("a")) > 0
+
+
+def test_spec_parameters_are_floats():
+    spec = MergeSpec("ties", params={"keep_fraction": 1})
+    assert type(spec.params["keep_fraction"]) is float
+    assert json.dumps(spec.to_json_dict()["params"]) == '{"keep_fraction": 1.0}'
+    assert type(MergeSpec("dare", params={"drop_rate": np.float32(0.5)}).params["drop_rate"]) is float
 
 
 def test_spec_json_round_trip():
@@ -193,6 +213,18 @@ def test_dare_matches_oracle(rng):
             rows, 0.6, drop_rate=0.4, seed=77, tensor_name=name, task_indices=[1, 2]
         )
         assert out.array(name).ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [0, 1], [2, -1]], ids=["repeated-as-by-default", "zero", "negative"])
+def test_dare_refuses_task_indices_repeated_or_below_one(rng, indices):
+    # the indices are the lanes of the dropout draws: a repeated one would give two tasks the same mask
+    deltas = [TaskVector(random_map(rng, {"a": (16,)}), f"t{pos}", index) for pos, index in enumerate(indices)]
+    spec = MergeSpec("dare", params={"drop_rate": 0.5}, seed=3)
+    message = re.escape(f"dare needs distinct task indices of at least 1, got {indices}")
+    with pytest.raises(ValueError, match=message):
+        dare(deltas, spec)
+    with pytest.raises(ValueError, match=message):
+        build_augmented(deltas, dare, spec, SearchSpace((0.5, 1.0)))
 
 
 # ----------------------------------------------------------------------- ties
