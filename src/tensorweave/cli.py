@@ -119,10 +119,10 @@ def _lambda_range(value) -> SearchSpace:
 
 
 def _exact(kind: type):
-    """Conversion to ``kind`` that refuses another JSON kind; numeric strings still convert."""
+    """Conversion to ``kind`` that refuses another JSON kind; numeric strings still convert to numbers."""
     def convert(value):
         fraction = kind is int and isinstance(value, float) and not value.is_integer()
-        if fraction or isinstance(value, bool) != (kind is bool):
+        if fraction or isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
             raise ValueError(f"expected {kind.__name__}, got {value!r}")
         return kind(value)
     return convert
@@ -139,12 +139,12 @@ def _at_least_one(value) -> int:
 # Every option a config file may set: flag dest -> (config key, conversion,
 # default). The conversion applies to the flag or config value, not the default.
 _OPTIONS = {
-    "method": ("method", str, None),
+    "method": ("method", _exact(str), None),
     "lam": ("lambda", _exact(float), 1.0),
     **{param: (param, _exact(float), None) for param in _METHOD_PARAMS},
     "seed": ("seed", _exact(int), 0),
     "lambda_range": ("lambda_range", _lambda_range, None),
-    "pooling": ("pooling", str, "avg"),
+    "pooling": ("pooling", _exact(str), "avg"),
     "include_deltas": ("include_deltas", _exact(bool), True),
     "threads": ("threads", _at_least_one, 1),
 }

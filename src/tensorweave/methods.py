@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import types
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,12 +49,12 @@ class MergeSpec:
     lam is the scaling factor applied to the merged delta; seed drives
     the per-element dropout of ``dare`` and is ignored elsewhere. Each
     parameter the method declares must be given and finite; the spec
-    keeps its own copy of ``params``, every value a float.
+    keeps its own read-only copy of ``params``, every value a float.
     """
 
     method: str
     lam: float = 1.0
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,8 +70,11 @@ class MergeSpec:
                 raise ValueError(f"{self.method} requires parameter {key!r}")
             if not _is_finite(self.params[key]):
                 raise ValueError(f"{key} must be finite, got {self.params[key]}")
-        object.__setattr__(self, "params", {key: float(value) for key, value in self.params.items()})
+        object.__setattr__(self, "params", types.MappingProxyType({k: float(v) for k, v in self.params.items()}))
         method.check(self)
+
+    def __reduce__(self):  # a mapping proxy does not pickle, so pickle and deepcopy rebuild the spec from a dict
+        return MergeSpec, (self.method, self.lam, dict(self.params), self.seed)
 
     def to_json_dict(self) -> dict:
         return {"method": self.method, "lambda": self.lam, "params": dict(self.params), "seed": self.seed}

@@ -9,12 +9,12 @@ The on-disk container is the common single-file checkpoint layout:
     rest          raw little-endian tensor payload, row-major, offsets
                   relative to the payload start
 
-Only F32 and F16 payloads are supported. All values are held in memory as
-float32 regardless of the stored dtype; F16 widens exactly on load, by a
-65,536-entry table indexed by the 16-bit codes. The table is numpy's own
-F16 -> float32 cast of every code, so it gives that cast's bits. Writing
-the same map twice yields byte-identical files (names are serialized in
-lexicographic order with contiguous offsets from zero).
+F32 and F16 payloads are read; every payload is written as F32, the values
+bit for bit, with an F16 origin recorded as ``dtype.<name>``. All values are
+held in memory as float32 regardless of the stored dtype; F16 widens exactly
+on load, by a 65,536-entry table of numpy's own F16 -> float32 cast of every
+16-bit code, so it gives that cast's bits. Writing the same map twice yields
+byte-identical files (names in lexicographic order, offsets contiguous from 0).
 
 Since the header fixes every offset, neither side needs more than one
 tensor at a time. The internal reader checks the whole header on open and
@@ -144,6 +144,9 @@ class TensorMap:
 
     def array(self, name: str) -> np.ndarray:
         return self._entries[name].values
+
+    def read(self, name: str) -> np.ndarray:
+        return self._entries[name].values.copy()  # fresh and writable, as the checkpoint reader's ``read`` gives
 
     def total_elements(self) -> int:
         return sum(t.size for t in self._entries.values())
@@ -404,26 +407,18 @@ class _Writer(_Replacement):
     only while it is written. A clean exit commits the file, which must then hold every tensor.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        entries: Iterable[tuple[str, Tensor | _Entry]],
-        metadata: Mapping[str, str],
-        dtype_policy: str = "force_f32",
-    ) -> None:
-        if dtype_policy not in ("keep", "force_f32"):
-            raise ValueError(f"dtype_policy must be 'keep' or 'force_f32', got {dtype_policy!r}")
+    def __init__(self, path: str | Path, entries: Iterable[tuple[str, Tensor | _Entry]],
+                 metadata: Mapping[str, str]) -> None:
         metadata = dict(metadata)
         header: dict[str, object] = {}
-        self._layout: list[tuple[str, tuple[int, ...], str]] = []
+        self._layout: list[tuple[str, tuple[int, ...]]] = []
         cursor = 0
         for name, entry in entries:
-            out_dtype = entry.stored_dtype if dtype_policy == "keep" else "F32"
-            if dtype_policy == "force_f32" and entry.stored_dtype != "F32":
+            if entry.stored_dtype != "F32":
                 metadata[f"dtype.{name}"] = entry.stored_dtype
-            nbytes = math.prod(entry.shape) * _DTYPES[out_dtype].itemsize
-            header[name] = {"dtype": out_dtype, "shape": list(entry.shape), "data_offsets": [cursor, cursor + nbytes]}
-            self._layout.append((name, entry.shape, out_dtype))
+            nbytes = 4 * math.prod(entry.shape)  # F32
+            header[name] = {"dtype": "F32", "shape": list(entry.shape), "data_offsets": [cursor, cursor + nbytes]}
+            self._layout.append((name, entry.shape))
             cursor += nbytes
         if metadata:
             header[_METADATA_KEY] = metadata
@@ -433,18 +428,12 @@ class _Writer(_Replacement):
 
     def write(self, name: str, tensor: Tensor) -> None:
         """Append the next tensor's payload; its name and shape must be the next of the layout."""
-        expected, shape, out_dtype = self._layout[self._written]
+        expected, shape = self._layout[self._written]
         if (name, tensor.shape) != (expected, shape):
             raise ValueError(f"expected tensor {expected!r} of shape {shape}, got {name!r} of shape {tensor.shape}")
-        payload = tensor.values
-        if out_dtype == "F16":
-            with np.errstate(over="ignore"):  # overflow checked explicitly below
-                payload = payload.astype(np.float16)
-            if not np.isfinite(payload).all():
-                raise CheckpointError(f"tensor {name!r}: value overflows F16 under dtype_policy 'keep'")
         # appended without O_CREAT, so a partial removed since the last write fails the write, not its commit
         with open(self.partial, "ab", opener=lambda path, flags: os.open(path, flags & ~os.O_CREAT)) as handle:
-            handle.write(payload)
+            handle.write(tensor.values)
         self._written += 1
 
     def _check_complete(self) -> None:
@@ -452,20 +441,15 @@ class _Writer(_Replacement):
             raise ValueError(f"tensor {self._layout[self._written][0]!r} was never written")
 
 
-def write_checkpoint(
-    tensor_map: TensorMap,
-    path: str | Path,
-    dtype_policy: str = "force_f32",
-) -> None:
+def write_checkpoint(tensor_map: TensorMap, path: str | Path) -> None:
     """Serialize a TensorMap; byte-identical output for identical inputs.
 
-    ``force_f32`` (the default) writes every payload as F32 and records
-    the original dtype of narrowed tensors under metadata key
-    ``dtype.<name>``; ``keep`` writes each tensor in its stored dtype.
+    Every payload is written as F32, the values bit for bit; a tensor stored
+    otherwise has its stored dtype recorded under metadata key ``dtype.<name>``.
     The bytes go to a temporary file beside ``path`` that replaces it only
     once complete, so a failed write leaves no partial checkpoint behind.
     """
-    with _Writer(path, tensor_map.items(), tensor_map.metadata, dtype_policy) as writer:
+    with _Writer(path, tensor_map.items(), tensor_map.metadata) as writer:
         for name, tensor in tensor_map.items():
             writer.write(name, tensor)
 

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .store import CheckpointError, Tensor, TensorMap, _Reader, _stream, require_compatible
+from .store import CheckpointError, Tensor, TensorMap, _stream, require_compatible
 
 __all__ = [
     "TaskVector",
@@ -39,7 +39,7 @@ def compute_deltas(
 ) -> list[TaskVector]:
     """Elementwise finetuned - pretrained for each checkpoint, in order.
 
-    Inputs are read by ``.array(name)`` only, so checkpoint readers serve.
+    Inputs are read by ``.array(name)`` and ``.read(name)`` only, so checkpoint readers serve.
     A difference that overflows float32 raises CheckpointError naming the
     checkpoint's label and the tensor.
     """
@@ -75,25 +75,19 @@ def _check_deltas(maps: Sequence[TensorMap], caller: str, kind: str = "task vect
 
 
 def _task_delta(label: str, name: str, finetuned: TensorMap, pretrained: np.ndarray) -> Tensor:
-    """Tensor ``name``'s task vector, fine-tuned minus ``pretrained``, checked once for finiteness.
+    """Tensor ``name``'s task vector, fine-tuned minus ``pretrained``, made in the fresh buffer of ``.read(name)``.
 
-    An open reader's tensor is read into a fresh buffer, and the difference
-    is made in that buffer; a loaded map's values are read-only, so there it
-    goes to a new array. A non-finite difference is an overflow naming the
-    checkpoint and the tensor, unless the fine-tuned values are not finite
-    themselves: the tensor is then read again, checked, and that error, the
-    file's own, is raised, as it would have been had the read come first.
+    A non-finite difference is an overflow naming the checkpoint and the tensor, unless the fine-tuned values are
+    not finite themselves: ``.array(name)`` then raises the input's own error, as a checked read would have first.
     """
-    from_reader = isinstance(finetuned, _Reader)
-    values = finetuned.read(name) if from_reader else finetuned.array(name)
+    values = finetuned.read(name)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference is an error just below
-        delta = np.subtract(values, pretrained, out=values if from_reader else None)
+        np.subtract(values, pretrained, out=values)
     try:
-        return Tensor(delta, error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
-                                   "float32")
+        return Tensor(values, error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
+                                    "float32")
     except CheckpointError:
-        if from_reader:
-            finetuned.tensor(name)
+        finetuned.array(name)
         raise
 
 

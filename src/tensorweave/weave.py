@@ -10,9 +10,9 @@ task vectors, the merge kernel's base, the members the pooling needs and
 the pooled delta are made, used and released before the next tensor.
 Each woven tensor goes to a sink in name order: ``weave`` returns them
 as a float32 model, and the CLI writes each one to its file, holding no
-whole output. The inputs' values are read through ``.array(name)``, and
-an open reader's fine-tuned tensor through ``.read(name)``, into a fresh
-buffer that its task vector is made in: loaded maps are held whole by the
+whole output. The pre-trained values are read through ``.array(name)``,
+and each fine-tuned tensor through ``.read(name)``, into a fresh buffer
+that its task vector is made in: loaded maps are held whole by the
 caller, but the CLI passes open readers, which read each input tensor when
 it is woven. Beyond that, each worker thread holds a small multiple of
 tasks x the tensor in flight: its pre-trained values and task vectors, the
@@ -237,9 +237,9 @@ def weave(
     according to ``pool_spec``, and returns pretrained + pooled delta
     along with a run report. ``threads`` workers (at least 1) weave
     tensors in parallel; the output does not depend on their number.
-    Inputs are read by tensor name (``names``, ``metadata``, ``[name]``
-    for the shape and stored dtype, ``.array(name)`` for the values), one
-    tensor at a time, so an open checkpoint reader serves as an input.
+    Inputs are read by tensor name (``names``, ``metadata``, ``[name]`` for the
+    shape and stored dtype, ``.array(name)`` or a fresh copy by ``.read(name)`` for
+    the values), one tensor at a time, so an open checkpoint reader serves as an input.
     """
     tensors: dict[str, Tensor] = {}
     report = _weave(pretrained, finetuned, spec_template, space, pool_spec, labels, threads, tensors.__setitem__)

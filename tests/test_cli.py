@@ -354,7 +354,7 @@ def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
         ("lambda", None), ("drop_rate", {}), ("threads", None), ("seed", [1]),
         ("include_deltas", "false"), ("include_deltas", 0),
         ("lambda", True), ("drop_rate", False), ("threads", 1.9), ("seed", 2.5), ("lambda_range", [True, 2]),
-        ("lambda_range", ["0.5", 1]), ("lambda", int("1" * 400)),
+        ("lambda_range", ["0.5", 1]), ("lambda", int("1" * 400)), ("method", None), ("pooling", 5),
     ):
         config = tmp_path / f"{key}.json"
         config.write_text(json.dumps({"method": "dare", "drop_rate": 0.5, key: value}))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import json
 import pickle
@@ -98,6 +99,25 @@ def test_spec_keeps_its_own_copy_of_its_parameters(rng):
     assert spec.params == {"drop_rate": 0.5}
     deltas = as_task_vectors([random_map(rng, {"a": (64,)})])
     assert np.count_nonzero(dare(deltas, spec).array("a")) > 0
+
+
+def test_spec_parameters_are_read_only(rng):
+    # a value set after the checks would skip them: a drop rate of 5 made dare return all zeros
+    spec = MergeSpec("dare", params={"drop_rate": 0.5}, seed=4)
+    with pytest.raises(TypeError):
+        spec.params["drop_rate"] = 5.0
+    with pytest.raises(TypeError):
+        del spec.params["drop_rate"]
+    assert spec.params == {"drop_rate": 0.5}
+    deltas = as_task_vectors([random_map(rng, {"a": (64,)})])
+    assert np.count_nonzero(dare(deltas, spec).array("a")) > 0
+    for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), dataclasses.replace(spec)):
+        assert other == spec
+        with pytest.raises(TypeError):
+            other.params["drop_rate"] = 5.0
+    assert dataclasses.replace(spec, params={"drop_rate": 0.25}).params == {"drop_rate": 0.25}
+    with pytest.raises(ValueError, match="drop_rate"):
+        dataclasses.replace(spec, params={"drop_rate": 5.0})
 
 
 def test_spec_parameters_are_floats():

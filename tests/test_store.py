@@ -173,22 +173,18 @@ def test_offsets_contiguous_and_sized(tmp_path):
     assert len(raw) == 8 + header_len + spans[-1][1]
 
 
-def test_dtype_policy_keep_and_force(tmp_path):
+def test_write_is_f32_and_records_f16_origin(tmp_path):
     tensors = TensorMap(
         {"h": Tensor(np.array([0.5, 1.0], dtype=np.float32), stored_dtype="F16"),
          "f": np.array([2.0], dtype=np.float32)}
     )
-    kept = tmp_path / "kept.safetensors"
-    write_checkpoint(tensors, kept, dtype_policy="keep")
-    loaded = read_checkpoint(kept)
-    assert loaded["h"].stored_dtype == "F16"
-    assert loaded.array("h").tolist() == [0.5, 1.0]
-
-    forced = tmp_path / "forced.safetensors"
-    write_checkpoint(tensors, forced)
-    loaded = read_checkpoint(forced)
+    path = tmp_path / "written.safetensors"
+    write_checkpoint(tensors, path)
+    loaded = read_checkpoint(path)
     assert loaded["h"].stored_dtype == "F32"
-    assert loaded.metadata["dtype.h"] == "F16"
+    assert loaded.metadata == {"dtype.h": "F16"}
+    for name in ("f", "h"):
+        assert loaded.array(name).tobytes() == tensors.array(name).tobytes()
 
 
 def test_malformed_header_json(tmp_path):
@@ -467,8 +463,10 @@ def test_each_produced_tensor_is_checked_for_finiteness_once(tmp_path, monkeypat
 def test_read_holds_only_the_float32_values(tmp_path):
     # a small F32 tensor must not keep the file's bytes (here mostly F16 payload) alive
     path = tmp_path / "mixed.safetensors"
-    weight = Tensor(np.linspace(-1.0, 1.0, 1 << 20, dtype=np.float32), stored_dtype="F16")
-    write_checkpoint(TensorMap({"bias": np.arange(8, dtype=np.float32), "weight": weight}), path, dtype_policy="keep")
+    bias, weight = np.arange(8, dtype=np.float32).tobytes(), np.linspace(-1.0, 1.0, 1 << 20, dtype=np.float16).tobytes()
+    build_file(path, {"bias": {"dtype": "F32", "shape": [8], "data_offsets": [0, 32]},
+                      "weight": {"dtype": "F16", "shape": [1 << 20], "data_offsets": [32, 32 + len(weight)]}},
+               bias + weight)
     tracemalloc.start()
     try:
         loaded = read_checkpoint(path)
@@ -529,17 +527,6 @@ def test_canonical_iteration_order():
 def test_reserved_metadata_name_rejected():
     with pytest.raises(CheckpointError, match="reserved"):
         TensorMap({"__metadata__": np.ones(1, dtype=np.float32)})
-
-
-def test_invalid_dtype_policy_rejected(tmp_path):
-    with pytest.raises(ValueError, match="dtype_policy"):
-        write_checkpoint(TensorMap(), tmp_path / "x.safetensors", dtype_policy="f64")
-
-
-def test_keep_policy_rejects_f16_overflow(tmp_path):
-    big = TensorMap({"h": Tensor(np.array([1e20], dtype=np.float32), stored_dtype="F16")})
-    with pytest.raises(CheckpointError, match="overflows"):
-        write_checkpoint(big, tmp_path / "x.safetensors", dtype_policy="keep")
 
 
 def fail_write(monkeypatch, number):
