@@ -326,8 +326,8 @@ def _keep_freed_memory() -> None:
 
     By default glibc returns a large free block to the system (its mmap and
     trim thresholds) and faults it in again for the next tensor. Raising the
-    mmap threshold to its 64-bit ceiling and the trim threshold above it
-    keeps those blocks on the heap. Elsewhere than glibc this does nothing;
+    mmap threshold to 32 MiB and the trim threshold to 64 MiB keeps those
+    blocks on the heap. Elsewhere than glibc this does nothing;
     if glibc refuses the mmap threshold, both keep their defaults, which is
     only slower; the trim threshold alone measured slower than the defaults.
     """

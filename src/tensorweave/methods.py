@@ -23,13 +23,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .rng import _BLOCK, _blocks, _check_seed, stream_key, uniform01
+from .rng import _blocks, _check_seed, stream_key, uniform01
 from .store import CheckpointError, TensorMap
 from .vectors import TaskVector, _check_deltas
 
 __all__ = [
     "MergeSpec",
-    "MergeFn",
     "task_arithmetic",
     "dare",
     "ties",
@@ -38,9 +37,6 @@ __all__ = [
     "registry_lookup",
     "available_methods",
 ]
-
-MergeFn = Callable[[Sequence[TaskVector], "MergeSpec"], TensorMap]
-
 
 @dataclass(frozen=True)
 class MergeSpec:
@@ -107,11 +103,10 @@ def _bit_select(mask: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) ->
     return np.bitwise_xor(picked, b, out=picked).view(np.float32)
 
 
-def _accumulate(parts: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise sum, float64 accumulation in order from +0.0, into ``out`` if given; ``parts`` is consumed one
-    at a time."""
+def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise sum, float64 accumulation in order from +0.0; ``parts`` is consumed one at a time."""
     parts = iter(parts)
-    acc = np.add(0.0, next(parts), out=out, dtype=np.float64)
+    acc = np.add(0.0, next(parts), dtype=np.float64)
     for part in parts:
         np.add(acc, part, out=acc)
     return acc
@@ -281,27 +276,23 @@ def _ties_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec:
     keep = _trim_count(k, size)
     trimmed = [_bit_select(_top_mask(_magnitude_bits(flat), keep), flat) for flat in flats]
 
-    # the election and the mean go block by block, so each pass reads operands still in cache; the buffers are
-    # this call's own, as worker threads weave tensors at once
+    # the election and the mean go block by block, so each pass reads operands still in cache
     base = np.empty(size, dtype=np.float64)
-    buffers = [np.empty(min(size, _BLOCK), dtype) for dtype in (np.float32, np.float32, bool, np.int32)]
     for part in _blocks(size):
         block = [values[part] for values in trimmed]
-        elected, kept, agrees, count = (buffer[: part.stop - part.start] for buffer in buffers)
-        agree_sum = base[part]
-        np.sign(_accumulate(block, out=agree_sum), out=elected)  # +1.0, -1.0 or 0.0
+        elected = np.sign(_accumulate(block), out=np.empty(part.stop - part.start, np.float32))  # +1.0, -1.0 or 0.0
+        agree_sum, count = base[part], np.zeros(part.stop - part.start, np.int32)
         agree_sum.fill(0.0)
-        count.fill(0)
         for values in block:
             # a value agrees where it has the elected sign, so where values * elected (exact) is > 0. Where the
             # elected sign is 0, only zeros would agree; counted or not, they leave the mean +0.0. agree_sum
             # starts at +0.0 and never becomes -0.0 (x + -x rounds to +0.0), so adding the signed zeros that
             # values * agrees leaves where a value disagrees changes no bit; where none agrees, the sum is
             # still +0.0 and dividing it by 1 gives the mean's +0.0 fallback
-            np.greater(np.multiply(values, elected, out=kept), 0, out=agrees)
-            np.add(agree_sum, np.multiply(values, agrees, out=kept), out=agree_sum)
-            np.add(count, agrees.view(np.uint8), out=count)
-        np.divide(agree_sum, np.maximum(count, 1, out=count), out=agree_sum)
+            agrees = values * elected > 0
+            agree_sum += values * agrees
+            count += agrees
+        np.divide(agree_sum, np.maximum(count, 1), out=agree_sum)
     return base
 
 
@@ -378,7 +369,7 @@ magmax = _Method("magmax", (0.1, 1.0), _magmax_base, {})
 _REGISTRY: dict[str, _Method] = {m.name: m for m in (task_arithmetic, dare, ties, breadcrumbs, magmax)}
 
 
-def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel:
+def sweep_base_kernel(merge_fn: _Method) -> _BaseKernel:
     """The factor-free per-tensor kernel behind a built-in merge function.
 
     Sweeps use it to evaluate the merge once per tensor and rescale per
@@ -387,14 +378,14 @@ def sweep_base_kernel(merge_fn: MergeFn) -> _BaseKernel:
     return _builtin(merge_fn).kernel
 
 
-def _builtin(merge_fn: MergeFn) -> _Method:
+def _builtin(merge_fn: _Method) -> _Method:
     """A built-in merge function as its record; ValueError for any other function."""
     if not (isinstance(merge_fn, _Method) and _REGISTRY.get(merge_fn.name) is merge_fn):
         raise ValueError(f"{merge_fn!r} is not a built-in merge function")
     return merge_fn
 
 
-def registry_lookup(name: str) -> MergeFn:
+def registry_lookup(name: str) -> _Method:
     if name not in _REGISTRY:
         raise ValueError(f"unknown merge method {name!r}; available: {', '.join(available_methods())}")
     return _REGISTRY[name]

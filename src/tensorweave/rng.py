@@ -11,8 +11,8 @@ values. The scheme, fixed as a compatibility contract:
 where ``mix`` is the splitmix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.
 Lanes separate consumers sharing a seed: per-task-vector dropout uses the
 1-based task index, per-element member selection uses lane 0. Draws are
-made in blocks of 32K, in place in two buffers that stay in cache; each
-block starts from its first index, so the bits are those of one pass.
+made in blocks of 32K, whose temporaries stay in cache; each block starts
+from its first index, so the bits are those of one pass.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
-_BLOCK = 1 << 15  # draws per block: two uint64 buffers of 256 KiB, which stay in a 2 MiB L2
+_BLOCK = 1 << 15  # elements per block: a block of uint64 draws is 256 KiB, which stays in a 2 MiB L2
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)  # (i + 1) * GOLDEN mod 2**64
 
 
@@ -74,14 +74,12 @@ def uniform01(key: int, count: int) -> np.ndarray:
     Vectorized splitmix64: the i-th draw depends only on (key, i).
     """
     out = np.empty(count, dtype=np.float64)
-    z, t = np.empty(min(count, _BLOCK), dtype=np.uint64), np.empty(min(count, _BLOCK), dtype=np.uint64)
     for part in _blocks(count):
-        zb, tb = z[: part.stop - part.start], t[: part.stop - part.start]
-        np.add(_STEPS[: zb.size], np.uint64((key + part.start * _GOLDEN) & _MASK64), out=zb)
-        np.bitwise_xor(zb, np.right_shift(zb, np.uint64(30), out=tb), out=zb)
-        np.multiply(zb, np.uint64(_MIX_A), out=zb)
-        np.bitwise_xor(zb, np.right_shift(zb, np.uint64(27), out=tb), out=zb)
-        np.multiply(zb, np.uint64(_MIX_B), out=zb)
-        np.bitwise_xor(zb, np.right_shift(zb, np.uint64(31), out=tb), out=zb)
-        np.multiply(np.right_shift(zb, np.uint64(11), out=tb), 2.0**-53, out=out[part])
+        z = _STEPS[: part.stop - part.start] + np.uint64((key + part.start * _GOLDEN) & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX_A)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        np.multiply(z >> np.uint64(11), 2.0**-53, out=out[part])
     return out

@@ -27,6 +27,7 @@ temporary file that replaces the target only once complete, open only while writ
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -371,13 +372,20 @@ class _Replacement:
     It holds paths, not an open file, so no output file stays open between writes.
     A clean exit moves it over ``path``; an exception removes it, so
     ``path`` never holds a partial file and keeps what it held before.
+    A ``path`` that is a directory is refused at once, and errors name ``path``.
     """
 
     def __init__(self, path: str | Path, first: bytes) -> None:
         self.target = Path(path)
+        if self.target.is_dir() and not self.target.is_symlink():  # the rename would refuse it, after all the work
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(self.target))
         self.partial = self.target.with_name(f".{self.target.name}.{os.urandom(8).hex()}.partial")
         try:
-            with open(self.partial, "xb") as handle:
+            handle = open(self.partial, "xb")
+        except OSError as exc:  # named for the target: the temporary name means nothing to the caller
+            raise OSError(exc.errno, exc.strerror, str(self.target)) from None
+        try:
+            with handle:
                 handle.write(first)
         except BaseException:
             self.partial.unlink(missing_ok=True)

@@ -18,7 +18,7 @@ it is woven. Beyond that, each worker thread holds a small multiple of
 tasks x the tensor in flight: its pre-trained values and task vectors, the
 kernel's float64 base and intermediates, and the top member. The other
 members are cast block by block, 32K elements at a time, when the pooling
-reaches them: ``avg`` adds each into one float64 block, ``random`` stacks
+reaches them: ``avg`` adds each into a float64 block, ``random`` stacks
 one block of every member, and ``magmax`` casts none, since a member that
 ties the top one in magnitude has its bits.
 """
@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
-from .rng import _BLOCK, _blocks, _check_seed, stream_key, uniform01
+from .rng import _blocks, _check_seed, stream_key, uniform01
 from .store import Tensor, TensorMap, _stream
 from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 
@@ -170,17 +170,16 @@ def _pool(name: str, raw: list[np.ndarray], top: np.ndarray, members: Callable[[
     lowest member index.
 
     ``magmax`` draws no sweep member but ``top``. ``avg`` and ``random`` go block by block, each block's members
-    cast when reached: ``avg`` sums them one at a time into one float64 block, and ``random`` stacks one block of
-    every member.
+    cast when reached: ``avg`` sums them one at a time in float64, and ``random`` stacks one block of every
+    member.
     """
     if pooling == "magmax":
         # |f32(lam * base)| never shrinks as lam grows and keeps base's sign, so a member that ties top has its bits
         return _largest_magnitude([*raw, top])
     pooled = np.empty(top.size, dtype=np.float32)
     if pooling == "avg":
-        total = np.empty(min(top.size, _BLOCK), dtype=np.float64)  # this call's own: threads pool at once
         for part in _blocks(top.size):
-            block = _accumulate(itertools.chain((r[part] for r in raw), members(part)), total[: part.stop - part.start])
+            block = _accumulate(itertools.chain((r[part] for r in raw), members(part)))
             np.divide(block, count, out=pooled[part], dtype=np.float64, casting="same_kind")  # rounded once
         return pooled
     draws = uniform01(stream_key(seed, name, lane=0), top.size)

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import hashlib
 import json
 import os
@@ -681,6 +682,33 @@ def test_partial_removed_between_writes_fails_the_command_and_commits_nothing(tm
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{removed[0]}'\n"
     assert [p.name for p in out.iterdir()] == [kept.name]
     assert kept.read_bytes() == b"from an earlier sweep"
+
+
+@pytest.mark.parametrize("case", ["weave to a directory", "sweep to a directory", "weave into a missing directory"])
+def test_an_output_that_cannot_be_made_fails_before_any_work_and_names_its_path(tmp_path, capsys, monkeypatch, case):
+    # each output is opened before any tensor is read, so a target that is a directory, or whose directory is
+    # missing, fails the command with no other output committed, and the error names the target, not the
+    # temporary file beside it
+    out = tmp_path / "out"
+    out.mkdir()
+    if case == "sweep to a directory":
+        target = out / "task_arithmetic_lambda1.0.safetensors"
+        argv = ("analyze", "sweep", "--lambda-range", "[0.5, 1.0]", "--out-dir", out)
+    else:
+        target = out / ("missing/w.safetensors" if case == "weave into a missing directory" else "w.safetensors")
+        argv = ("weave", "--out", target)
+    code = errno.ENOENT if case == "weave into a missing directory" else errno.EISDIR
+    if code == errno.EISDIR:
+        target.mkdir()
+
+    def no_read(reader, name):
+        raise AssertionError(f"tensor {name!r} was read")
+
+    monkeypatch.setattr(store._Reader, "read", no_read)
+    assert run(*argv, "--method", "task_arithmetic", "--pretrained", PRE, CARS) == 1
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n"
+    assert [p.name for p in out.iterdir()] == ([target.name] if code == errno.EISDIR else [])
+    assert code == errno.ENOENT or not any(target.iterdir())
 
 
 def test_outputs_past_the_open_file_limit(tmp_path):

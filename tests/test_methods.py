@@ -581,11 +581,10 @@ def test_public_surface_is_fixed():
 
     assert tensorweave.__all__ == [
         "AccuracyTable", "CheckpointError", "CsvFormatError", "FingerprintMismatch", "LambdaHistogram",
-        "MergeFn", "MergeSpec", "PoolSpec", "SearchSpace", "SimilarityMatrix", "TaskVector", "Tensor",
-        "TensorMap", "WeaveReport", "add", "available_methods", "best_lambda_histogram", "breadcrumbs",
-        "build_augmented", "compute_deltas", "cosine_matrix", "dare", "default_search_space", "magmax",
-        "pool", "read_checkpoint", "registry_lookup", "sweep_emit", "task_arithmetic", "ties", "weave",
-        "write_checkpoint",
+        "MergeSpec", "PoolSpec", "SearchSpace", "SimilarityMatrix", "TaskVector", "Tensor", "TensorMap",
+        "WeaveReport", "add", "available_methods", "best_lambda_histogram", "breadcrumbs", "build_augmented",
+        "compute_deltas", "cosine_matrix", "dare", "default_search_space", "magmax", "pool", "read_checkpoint",
+        "registry_lookup", "sweep_emit", "task_arithmetic", "ties", "weave", "write_checkpoint",
     ]
 
 
