@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -113,18 +114,10 @@ class LambdaHistogram:
 
 def best_lambda_histogram(table: AccuracyTable) -> LambdaHistogram:
     """Per task, the accuracy-argmax factor (ties take the smallest), binned."""
-    best: dict[str, tuple[float, float]] = {}
+    best: dict[str, tuple[float, float]] = {}  # task -> (accuracy, -factor) of its best row so far
     for task, lam, acc in table.rows:
-        if task not in best:
-            best[task] = (lam, acc)
-            continue
-        best_lam, best_acc = best[task]
-        if acc > best_acc or (acc == best_acc and lam < best_lam):
-            best[task] = (lam, acc)
-    bins: dict[float, int] = {}
-    for lam, _ in best.values():
-        bins[lam] = bins.get(lam, 0) + 1
-    return LambdaHistogram(bins=bins, total=len(best))
+        best[task] = max(best.get(task, (acc, -lam)), (acc, -lam))
+    return LambdaHistogram(bins=dict(Counter(-neg_lam for _, neg_lam in best.values())), total=len(best))
 
 
 def sweep_emit(

@@ -43,12 +43,14 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("finetuned", nargs="+", help="fine-tuned checkpoint paths")
 
 
+def _add_options(parser: argparse.ArgumentParser, *dests: str) -> None:
+    for dest in dests:
+        parser.add_argument(_flag(_OPTIONS[dest][0]), dest=dest, default=None, **_OPTIONS[dest][3])
+
+
 def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", default=None, help=f"one of: {', '.join(available_methods())}")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="scaling factor")
-    for param, help_text in _METHOD_PARAMS.items():
-        parser.add_argument(f"--{param.replace('_', '-')}", type=float, default=None, help=help_text)
-    parser.add_argument("--seed", type=int, default=None, help="seed for stochastic methods")
+    _add_io_flags(parser)
+    _add_options(parser, "method", "lam", *_METHOD_PARAMS, "seed")
     parser.add_argument("--config", default=None, help="JSON config file; flags take precedence")
 
 
@@ -67,24 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="merge once at a fixed scaling factor")
     p.set_defaults(run=_cmd_merge)
-    _add_io_flags(p)
     _add_merge_flags(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("weave", help="sweep scaling factors and pool the merged weights")
     p.set_defaults(run=_cmd_weave)
-    _add_io_flags(p)
     _add_merge_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--pooling", default=None, help=f"{'|'.join(_POOLINGS)} (default avg)")
-    p.add_argument("--lambda-range", default=None, help="'start:stop:step' or JSON list; default per method")
-    p.add_argument(
-        "--include-deltas",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="pool the raw task vectors together with the swept merges (default on)",
-    )
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+    _add_options(p, "pooling", "lambda_range", "include_deltas", "threads")
 
     analyze = sub.add_parser("analyze", help="similarity, best-factor, and sweep analyses")
     asub = analyze.add_subparsers(dest="analysis", required=True)
@@ -102,9 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = asub.add_parser("sweep", help="emit one merged checkpoint per scaling factor")
     p.set_defaults(run=_cmd_analyze_sweep)
-    _add_io_flags(p)
     _add_merge_flags(p)
-    p.add_argument("--lambda-range", default=None, help="'start:stop:step' or JSON list; default per method")
+    _add_options(p, "lambda_range")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("inspect", help="list tensors and metadata of a checkpoint")
@@ -136,17 +127,23 @@ def _at_least_one(value) -> int:
     return count
 
 
-# Every option a config file may set: flag dest -> (config key, conversion,
-# default). The conversion applies to the flag or config value, not the default.
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+# Every option a config file may set, in resolution order: flag dest -> (config key, conversion, default, argparse
+# settings of the flag ``_flag(key)``, unset as None). The conversion applies to a flag or config value, not a default.
 _OPTIONS = {
-    "method": ("method", _exact(str), None),
-    "lam": ("lambda", _exact(float), 1.0),
-    **{param: (param, _exact(float), None) for param in _METHOD_PARAMS},
-    "seed": ("seed", _exact(int), 0),
-    "lambda_range": ("lambda_range", _lambda_range, None),
-    "pooling": ("pooling", _exact(str), "avg"),
-    "include_deltas": ("include_deltas", _exact(bool), True),
-    "threads": ("threads", _at_least_one, 1),
+    "method": ("method", _exact(str), None, dict(help=f"one of: {', '.join(available_methods())}")),
+    "lam": ("lambda", _exact(float), 1.0, dict(type=float, help="scaling factor")),
+    **{param: (param, _exact(float), None, dict(type=float, help=text)) for param, text in _METHOD_PARAMS.items()},
+    "seed": ("seed", _exact(int), 0, dict(type=int, help="seed for stochastic methods")),
+    "lambda_range": ("lambda_range", _lambda_range, None,
+                     dict(help="'start:stop:step' or JSON list; default per method")),
+    "pooling": ("pooling", _exact(str), "avg", dict(help=f"{'|'.join(_POOLINGS)} (default avg)")),
+    "include_deltas": ("include_deltas", _exact(bool), True, dict(action=argparse.BooleanOptionalAction,
+                       help="pool the raw task vectors together with the swept merges (default on)")),
+    "threads": ("threads", _at_least_one, 1, dict(type=int, help="worker threads (default 1)")),
 }
 
 
@@ -167,11 +164,11 @@ def _resolve_options(args: argparse.Namespace, config: dict) -> None:
 
     A value that does not convert is a ValueError naming its flag or config key.
     """
-    for dest, (key, convert, default) in _OPTIONS.items():
+    for dest, (key, convert, default, _) in _OPTIONS.items():
         if not hasattr(args, dest):
             continue
         if getattr(args, dest) is not None:
-            value, source = getattr(args, dest), f"--{key.replace('_', '-')}"
+            value, source = getattr(args, dest), _flag(key)
         elif key in config:
             value, source = config[key], f"config key {key!r}"
         else:
@@ -245,26 +242,28 @@ def _cmd_weave(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:  # the report is written before the checkpoint commits, and with it
         pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         writer = stack.enter_context(_Writer(args.out, pretrained.items(), pretrained.metadata))
-        report = _weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads, writer.write)
-        stack.enter_context(_Replacement(report_path, (report.to_json() + "\n").encode("utf-8")))
+        report = stack.enter_context(_Replacement(report_path, b""))  # claimed before any tensor is read
+        woven = _weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads, writer.write)
+        report.append((woven.to_json() + "\n").encode("utf-8"))
     log.info("wrote %s and %s", args.out, report_path)
     return 0
 
 
 def _cmd_analyze_cosine(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:  # the flats are filled tensor by tensor from the open readers
+        emit = stack.enter_context(_json_output(args.out))
         if args.pretrained is not None:
             matrix = _cosine(*_flat_task_vectors(*_read_inputs(args.pretrained, args.inputs, stack)))
         else:
             matrix = cosine_matrix([TaskVector(stack.enter_context(_Reader(path)), Path(path).stem, pos)
                                     for pos, path in enumerate(args.inputs, start=1)])
-    _emit_json(matrix.to_json(), args.out)
+        emit(matrix.to_json())
     return 0
 
 
 def _cmd_analyze_best_lambda(args: argparse.Namespace) -> int:
-    table = AccuracyTable.from_csv(args.csv)
-    _emit_json(best_lambda_histogram(table).to_json(), args.out)
+    with _json_output(args.out) as emit:
+        emit(best_lambda_histogram(AccuracyTable.from_csv(args.csv)).to_json())
     return 0
 
 
@@ -292,12 +291,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_json(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _json_output(out: str | None):
+    """A context giving what writes a command's JSON text and a newline: to stdout, or to ``out``, claimed on entry."""
     if out is None:
-        print(text)
+        yield print
     else:
-        with _Replacement(out, (text + "\n").encode("utf-8")):
-            pass
+        with _Replacement(out, b"") as output:
+            yield lambda text: output.append((text + "\n").encode("utf-8"))
         log.info("wrote %s", out)
 
 

@@ -369,10 +369,10 @@ def _parse_entry(path, name, entry) -> tuple[str, list[int], int, int]:
 class _Replacement:
     """A file written under a temporary name beside ``path``, made with its ``first`` bytes, as a context manager.
 
-    It holds paths, not an open file, so no output file stays open between writes.
+    Opening it claims ``path``, refusing a directory there before the caller's work; errors name ``path``.
+    ``append`` adds bytes to its end. It holds paths, not an open file, so none stays open between writes.
     A clean exit moves it over ``path``; an exception removes it, so
     ``path`` never holds a partial file and keeps what it held before.
-    A ``path`` that is a directory is refused at once, and errors name ``path``.
     """
 
     def __init__(self, path: str | Path, first: bytes) -> None:
@@ -393,6 +393,11 @@ class _Replacement:
 
     def __enter__(self) -> "_Replacement":
         return self
+
+    def append(self, data) -> None:
+        # appended without O_CREAT, so a partial removed since the last write fails the write, not its commit
+        with open(self.partial, "ab", opener=lambda path, flags: os.open(path, flags & ~os.O_CREAT)) as handle:
+            handle.write(data)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
@@ -439,9 +444,7 @@ class _Writer(_Replacement):
         expected, shape = self._layout[self._written]
         if (name, tensor.shape) != (expected, shape):
             raise ValueError(f"expected tensor {expected!r} of shape {shape}, got {name!r} of shape {tensor.shape}")
-        # appended without O_CREAT, so a partial removed since the last write fails the write, not its commit
-        with open(self.partial, "ab", opener=lambda path, flags: os.open(path, flags & ~os.O_CREAT)) as handle:
-            handle.write(tensor.values)
+        self.append(tensor.values)
         self._written += 1
 
     def _check_complete(self) -> None:

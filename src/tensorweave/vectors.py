@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -116,10 +116,7 @@ class SimilarityMatrix:
     values: tuple[tuple[float, ...], ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"labels": list(self.labels), "values": [list(row) for row in self.values]},
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:

@@ -81,6 +81,14 @@ def test_histogram_json_format():
     assert payload == {"bins": {"0.5": 1}, "total": 1}
 
 
+def test_histogram_json_text():
+    # a tie goes to the smaller factor, whichever row comes first, and a later, better row wins
+    rows = [("a", 1.0, 0.5), ("a", 0.5, 0.5), ("b", 0.5, 0.25), ("b", 1.5, 0.75),
+            ("c", 0.25, 0.9), ("c", 0.5, 0.9), ("d", 0.5, 0.3)]
+    text = best_lambda_histogram(table_from(rows)).to_json()
+    assert text == '{\n  "bins": {\n    "0.25": 1,\n    "0.5": 2,\n    "1.5": 1\n  },\n  "total": 4\n}'
+
+
 def test_histogram_json_keeps_close_lambdas_apart():
     rows = [("a", 0.1, 1.0), ("b", 0.1000000000001, 1.0)]
     payload = json.loads(best_lambda_histogram(table_from(rows)).to_json())

@@ -24,6 +24,7 @@ from tensorweave import (
     TaskVector,
     TensorMap,
     add,
+    cli,
     compute_deltas,
     cosine_matrix,
     read_checkpoint,
@@ -348,6 +349,54 @@ def test_config_file_precedence(tmp_path):
     expected_flags = add(pre, fn(deltas, MergeSpec("ties", lam=1.2, params={"keep_fraction": 0.5})))
     assert read_checkpoint(out_config) == expected_config
     assert read_checkpoint(out_flags) == expected_flags
+
+
+# the arguments each command that takes options requires; they are only parsed, so no file needs to exist
+OPTION_COMMANDS = {
+    ("merge",): ("--pretrained", "pre", "--out", "out", "task"),
+    ("weave",): ("--pretrained", "pre", "--out", "out", "task"),
+    ("analyze", "sweep"): ("--pretrained", "pre", "--out-dir", "out", "task"),
+}
+# each option -> (flag words, their value, a config value, its value)
+OPTION_VALUES = {
+    "method": (["--method", "dare"], "dare", "ties", "ties"),
+    "lam": (["--lambda", "0.5"], 0.5, 0.7, 0.7),
+    "drop_rate": (["--drop-rate", "0.25"], 0.25, 0.5, 0.5),
+    "keep_fraction": (["--keep-fraction", "0.25"], 0.25, 0.5, 0.5),
+    "beta": (["--beta", "0.25"], 0.25, 0.5, 0.5),
+    "gamma": (["--gamma", "0.25"], 0.25, 0.5, 0.5),
+    "seed": (["--seed", "7"], 7, 3, 3),
+    "lambda_range": (["--lambda-range", "0.5:1.0:0.5"], SearchSpace((0.5, 1.0)), [0.25], SearchSpace((0.25,))),
+    "pooling": (["--pooling", "magmax"], "magmax", "random", "random"),
+    "include_deltas": (["--include-deltas"], True, False, False),
+    "threads": (["--threads", "3"], 3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("dest, command", [
+    pytest.param(dest, command, id=f"{dest}-{'-'.join(command)}")
+    for dest in cli._OPTIONS for command in OPTION_COMMANDS
+    if hasattr(cli.build_parser().parse_args([*command, *OPTION_COMMANDS[command]]), dest)
+])
+def test_every_option_takes_its_flag_then_its_config_key_then_its_default(dest, command):
+    flag, from_flag, config_value, from_config = OPTION_VALUES[dest]
+    key, default = cli._OPTIONS[dest][0], cli._OPTIONS[dest][2]
+
+    def resolved(words, config):
+        args = cli.build_parser().parse_args([*command, *OPTION_COMMANDS[command], *words])
+        cli._resolve_options(args, config)
+        return getattr(args, dest)
+
+    assert from_flag != from_config != default  # so each assertion below tells the three sources apart
+    assert resolved(flag, {key: config_value}) == from_flag
+    assert resolved([], {key: config_value}) == from_config
+    assert resolved([], {}) == default
+
+
+def test_every_option_is_a_flag_of_some_command():
+    options = {dest for command, required in OPTION_COMMANDS.items()
+               for dest in vars(cli.build_parser().parse_args([*command, *required])) if dest in cli._OPTIONS}
+    assert options == set(cli._OPTIONS) == set(OPTION_VALUES)
 
 
 def test_config_value_of_wrong_json_type_exits_2_naming_key(tmp_path, capsys):
@@ -684,19 +733,27 @@ def test_partial_removed_between_writes_fails_the_command_and_commits_nothing(tm
     assert kept.read_bytes() == b"from an earlier sweep"
 
 
-@pytest.mark.parametrize("case", ["weave to a directory", "sweep to a directory", "weave into a missing directory"])
+@pytest.mark.parametrize("case", ["weave to a directory", "sweep to a directory", "weave into a missing directory",
+                                  "report to a directory", "cosine to a directory"])
 def test_an_output_that_cannot_be_made_fails_before_any_work_and_names_its_path(tmp_path, capsys, monkeypatch, case):
-    # each output is opened before any tensor is read, so a target that is a directory, or whose directory is
-    # missing, fails the command with no other output committed, and the error names the target, not the
-    # temporary file beside it
+    # each output, checkpoint or JSON, is opened before any tensor is read, so a target that is a directory, or
+    # whose directory is missing, fails the command with no other output committed, and the error names the
+    # target, not the temporary file beside it
     out = tmp_path / "out"
     out.mkdir()
+    merge = ("--method", "task_arithmetic")
     if case == "sweep to a directory":
         target = out / "task_arithmetic_lambda1.0.safetensors"
-        argv = ("analyze", "sweep", "--lambda-range", "[0.5, 1.0]", "--out-dir", out)
+        argv = ("analyze", "sweep", *merge, "--lambda-range", "[0.5, 1.0]", "--out-dir", out)
+    elif case == "cosine to a directory":
+        target = out / "cosine.json"
+        argv = ("analyze", "cosine", "--out", target)
+    elif case == "report to a directory":
+        target = out / "w.report.json"
+        argv = ("weave", *merge, "--out", out / "w.safetensors")
     else:
         target = out / ("missing/w.safetensors" if case == "weave into a missing directory" else "w.safetensors")
-        argv = ("weave", "--out", target)
+        argv = ("weave", *merge, "--out", target)
     code = errno.ENOENT if case == "weave into a missing directory" else errno.EISDIR
     if code == errno.EISDIR:
         target.mkdir()
@@ -705,7 +762,7 @@ def test_an_output_that_cannot_be_made_fails_before_any_work_and_names_its_path(
         raise AssertionError(f"tensor {name!r} was read")
 
     monkeypatch.setattr(store._Reader, "read", no_read)
-    assert run(*argv, "--method", "task_arithmetic", "--pretrained", PRE, CARS) == 1
+    assert run(*argv, "--pretrained", PRE, CARS) == 1
     assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n"
     assert [p.name for p in out.iterdir()] == ([target.name] if code == errno.EISDIR else [])
     assert code == errno.ENOENT or not any(target.iterdir())

@@ -16,6 +16,7 @@ from tensorweave import (
     compute_deltas,
     cosine_matrix,
     CheckpointError,
+    SimilarityMatrix,
     read_checkpoint,
     store,
     write_checkpoint,
@@ -246,3 +247,11 @@ def test_cosine_json_shape():
 
     parsed = json.loads(data)
     assert parsed == {"labels": ["only"], "values": [[1.0]]}
+
+
+def test_cosine_json_text():
+    text = SimilarityMatrix(("a", "b"), ((1.0, 0.25), (0.25, 1.0))).to_json()
+    assert text == (
+        '{\n  "labels": [\n    "a",\n    "b"\n  ],\n'
+        '  "values": [\n    [\n      1.0,\n      0.25\n    ],\n    [\n      0.25,\n      1.0\n    ]\n  ]\n}'
+    )
