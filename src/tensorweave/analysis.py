@@ -1,14 +1,12 @@
-"""Best-scaling-factor analysis and sweep checkpoint emission.
+"""Best-scaling-factor analysis of evaluated accuracies.
 
 Evaluation itself happens elsewhere; accuracies arrive as a CSV with
 header ``task,lambda,accuracy`` and the histogram of per-task best
-factors is the JSON artifact. ``sweep_emit`` writes one merged
-checkpoint per scaling factor for external evaluation.
+factors is the JSON artifact.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -16,19 +14,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
-
-from .methods import MergeSpec
-from .store import Tensor, TensorMap, _Replacement, _stream, _Writer
-from .vectors import _rebased, _task_labels
-from .weave import SearchSpace, _tensor_sweep
+from typing import Callable, Sequence
 
 __all__ = [
     "CsvFormatError",
     "AccuracyTable",
     "LambdaHistogram",
     "best_lambda_histogram",
-    "sweep_emit",
 ]
 
 
@@ -118,58 +110,3 @@ def best_lambda_histogram(table: AccuracyTable) -> LambdaHistogram:
     for task, lam, acc in table.rows:
         best[task] = max(best.get(task, (acc, -lam)), (acc, -lam))
     return LambdaHistogram(bins=dict(Counter(-neg_lam for _, neg_lam in best.values())), total=len(best))
-
-
-def sweep_emit(
-    pretrained: TensorMap,
-    finetuned: Sequence[TensorMap],
-    spec_template: MergeSpec,
-    space: SearchSpace,
-    out_dir: str | Path,
-    labels: Sequence[str] | None = None,
-) -> list[Path]:
-    """Write pretrained + merge(deltas, lam) per factor, plus a manifest.
-
-    Files are named ``<method>_lambda<value>.safetensors``; the manifest
-    ``manifest.json`` lists them with their factors. Returns the
-    checkpoint paths in sweep order.
-
-    Every factor's file is filled one tensor at a time, in name order: the
-    tensor's task vectors and kernel base are made once, and each factor's
-    re-based tensor is appended to its file. So above its inputs (nothing,
-    for the CLI's checkpoint readers) a sweep holds O(tasks x largest
-    tensor), and no output file is held open between writes. The
-    files replace their targets only once every tensor is written: an
-    error, named for the first faulty tensor, leaves no new file or manifest.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = [f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
-    manifest = {
-        "spec": spec_template.to_json_dict(),
-        "lambdas": list(space.lambdas),
-        "files": [{"lambda": lam, "path": file} for lam, file in zip(space.lambdas, files)],
-    }
-    _write_sweep(pretrained, finetuned, spec_template, space, [out_dir / file for file in files], labels,
-                 (out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n"))
-    return [out_dir / file for file in files]
-
-
-def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: MergeSpec, space: SearchSpace,
-                 paths: Sequence[str | Path], labels: Sequence[str] | None = None,
-                 manifest: tuple[Path, str] | None = None) -> None:
-    """pretrained + merge(deltas, lam) at each factor, written to ``paths``, and the ``manifest`` (path, text)
-    if given: ``sweep_emit``'s files, committed together.
-    """
-    labels = _task_labels(pretrained, finetuned, labels)
-
-    def rebased_members(name: str) -> Iterator[Tensor]:
-        pre, _, _, members = _tensor_sweep(name, pretrained, finetuned, labels, spec, space)
-        return (_rebased(name, pre, member.reshape(pre.shape), pretrained[name].stored_dtype)
-                for member in members(slice(None)))
-
-    with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
-        writers = [stack.enter_context(_Writer(path, pretrained.items(), pretrained.metadata)) for path in paths]
-        if manifest is not None:  # written now, so that a failed write commits no checkpoint
-            stack.enter_context(_Replacement(manifest[0], manifest[1].encode("utf-8")))
-        _stream(pretrained.names, rebased_members, [writer.write for writer in writers])

@@ -27,11 +27,11 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import AccuracyTable, _write_sweep, best_lambda_histogram, sweep_emit
+from .analysis import AccuracyTable, best_lambda_histogram
 from .methods import _REGISTRY, MergeSpec, available_methods
 from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _Replacement, _stream, _Writer
 from .vectors import TaskVector, _cosine, _flat_task_vectors, _task_labels, _task_vectors, cosine_matrix
-from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, default_search_space
+from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, _write_sweep, default_search_space, sweep_emit
 
 log = logging.getLogger("tensorweave")
 # Each built-in method parameter -> the help of its flag, in registry order.
@@ -229,6 +229,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     with contextlib.ExitStack() as stack:
         pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
+        labels = _task_labels(pretrained, finetuned, labels)
         _write_sweep(pretrained, finetuned, spec, SearchSpace((spec.lam,)), [args.out], labels)
     log.info("wrote %s", args.out)
     return 0

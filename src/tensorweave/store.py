@@ -379,7 +379,8 @@ class _Replacement:
         self.target = Path(path)
         if self.target.is_dir() and not self.target.is_symlink():  # the rename would refuse it, after all the work
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(self.target))
-        self.partial = self.target.with_name(f".{self.target.name}.{os.urandom(8).hex()}.partial")
+        stem = os.fsencode(self.target.name)[:229].decode("utf-8", "ignore")  # 26 more below: 255 bytes at most
+        self.partial = self.target.with_name(f".{stem}.{os.urandom(8).hex()}.partial")
         try:
             handle = open(self.partial, "xb")
         except OSError as exc:  # named for the target: the temporary name means nothing to the caller

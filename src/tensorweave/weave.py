@@ -3,7 +3,9 @@
 Instead of searching for one good scaling factor, the driver runs the
 merge function at every factor in a search space, pools the resulting
 weights per parameter (optionally together with the raw task vectors),
-and adds the pooled delta back onto the pre-trained weights.
+and adds the pooled delta back onto the pre-trained weights. For external
+evaluation, ``sweep_emit`` adds back each factor's merge instead, one
+checkpoint per factor, from the same per-tensor sweep.
 
 ``weave`` works on one tensor at a time, from its inputs: the tensor's
 task vectors, the merge kernel's base, the members the pooling needs and
@@ -25,19 +27,21 @@ ties the top one in magnitude has its bits.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import numbers
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
 from .rng import _blocks, _check_seed, stream_key, uniform01
-from .store import Tensor, TensorMap, _stream
+from .store import Tensor, TensorMap, _Replacement, _stream, _Writer
 from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "build_augmented",
     "pool",
     "weave",
+    "sweep_emit",
 ]
 
 _POOLINGS = ("avg", "random", "magmax")
@@ -205,19 +210,19 @@ def pool(members: Sequence[TensorMap], spec: PoolSpec) -> TensorMap:
     return TensorMap(out)
 
 
-def _tensor_sweep(
-    name: str, pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str], spec: MergeSpec,
-    space: SearchSpace,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, Callable[[slice], Iterator[np.ndarray]]]:
-    """Tensor ``name``'s sweep from the inputs: the pre-trained values, each task vector (flat),
-    the checked top-factor member and ``members(part)``, every member's ``part`` in sweep order, each cast when
-    reached (flat).
-
-    An overflowing member is an error, whatever uses the sweep.
+def _sweep_each(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: list[str], spec: MergeSpec,
+                space: SearchSpace, finish: Callable, what: str, sinks: Sequence[Callable], threads: int = 1) -> None:
+    """Each tensor's deltas ``finish(name, flats, top, members)``, re-based onto its pre-trained values, to ``sinks``
+    by ``store._stream`` in name order: ``finish`` makes them of the flat task vectors and ``methods._sweep``'s members
+    (an overflowing member is an error, whatever it uses), and an overflowing sum names ``what``.
     """
-    pre = pretrained.array(name)
-    flats = [tv.values.ravel() for tv in _task_vectors(name, pre, finetuned, labels)]
-    return (pre, flats, *_sweep(name, flats, range(1, len(flats) + 1), spec, space.lambdas))
+    def produce(name: str) -> Iterator[Tensor]:
+        pre = pretrained.array(name)
+        flats = [tv.values.ravel() for tv in _task_vectors(name, pre, finetuned, labels)]
+        deltas = finish(name, flats, *_sweep(name, flats, range(1, len(flats) + 1), spec, space.lambdas))
+        return (_rebased(name, pre, delta.reshape(pre.shape), pretrained[name].stored_dtype, what) for delta in deltas)
+
+    _stream(pretrained.names, produce, sinks, threads)
 
 
 def weave(
@@ -254,16 +259,14 @@ def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template:
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
     labels = _task_labels(pretrained, finetuned, labels)
-    n_members = len(space.lambdas) + (len(finetuned) if pool_spec.include_deltas else 0)
+    raw = len(finetuned) if pool_spec.include_deltas else 0  # how many task vectors are pooled
+    n_members = len(space.lambdas) + raw
 
-    def weave_one(name: str) -> tuple[Tensor]:
-        pre, flats, top, members = _tensor_sweep(name, pretrained, finetuned, labels, spec_template, space)
-        raw = flats if pool_spec.include_deltas else []
-        pooled = _pool(name, raw, top, members, n_members, pool_spec.pooling, pool_spec.seed)
-        return (_rebased(name, pre, pooled.reshape(pre.shape), pretrained[name].stored_dtype,
-                         "pre-trained plus pooled delta"),)
+    def pooled(name: str, flats: list[np.ndarray], top: np.ndarray, members) -> tuple[np.ndarray]:
+        return (_pool(name, flats[:raw], top, members, n_members, pool_spec.pooling, pool_spec.seed),)
 
-    _stream(pretrained.names, weave_one, [sink], threads)
+    _sweep_each(pretrained, finetuned, labels, spec_template, space, pooled, "pre-trained plus pooled delta", [sink],
+                threads)
     return WeaveReport(
         method=spec_template.method,
         lambdas=space.lambdas,
@@ -274,3 +277,52 @@ def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template:
         element_counts={name: entry.size for name, entry in pretrained.items()},
         wall_time_s=time.perf_counter() - started,
     )
+
+
+def sweep_emit(
+    pretrained: TensorMap,
+    finetuned: Sequence[TensorMap],
+    spec_template: MergeSpec,
+    space: SearchSpace,
+    out_dir: str | Path,
+    labels: Sequence[str] | None = None,
+) -> list[Path]:
+    """Write pretrained + merge(deltas, lam) per factor, plus a manifest.
+
+    Files are named ``<method>_lambda<value>.safetensors``; the manifest
+    ``manifest.json`` lists them with their factors. Returns the
+    checkpoint paths in sweep order.
+
+    Every factor's file is filled one tensor at a time, in name order: the
+    tensor's task vectors and kernel base are made once, and each factor's
+    re-based tensor is appended to its file. So above its inputs (nothing,
+    for the CLI's checkpoint readers) a sweep holds O(tasks x largest
+    tensor), and no output file is held open between writes. The
+    files replace their targets only once every tensor is written: an
+    error, named for the first faulty tensor, leaves no new file or manifest.
+    """
+    out_dir = Path(out_dir)
+    labels = _task_labels(pretrained, finetuned, labels)  # checked before the folder is made
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
+    manifest = {
+        "spec": spec_template.to_json_dict(),
+        "lambdas": list(space.lambdas),
+        "files": [{"lambda": lam, "path": file} for lam, file in zip(space.lambdas, files)],
+    }
+    _write_sweep(pretrained, finetuned, spec_template, space, [out_dir / file for file in files], labels,
+                 (out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n"))
+    return [out_dir / file for file in files]
+
+
+def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: MergeSpec, space: SearchSpace,
+                 paths: Sequence[str | Path], labels: list[str], manifest: tuple[Path, str] | None = None) -> None:
+    """pretrained + merge(deltas, lam) at each factor, written to ``paths``, and the ``manifest`` (path, text)
+    if given: ``sweep_emit``'s files, committed together. ``labels`` are ``_task_labels``' checked ones.
+    """
+    with contextlib.ExitStack() as stack:  # commits every file on success, removes them all on an error
+        writers = [stack.enter_context(_Writer(path, pretrained.items(), pretrained.metadata)) for path in paths]
+        if manifest is not None:  # written now, so that a failed write commits no checkpoint
+            stack.enter_context(_Replacement(manifest[0], manifest[1].encode("utf-8")))
+        _sweep_each(pretrained, finetuned, labels, spec, space, lambda name, flats, top, members: members(slice(None)),
+                    "base plus delta", [writer.write for writer in writers])

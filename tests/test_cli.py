@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from tensorweave import (
+    FingerprintMismatch,
     MergeSpec,
     PoolSpec,
     SearchSpace,
@@ -30,6 +31,7 @@ from tensorweave import (
     read_checkpoint,
     registry_lookup,
     store,
+    sweep_emit,
     vectors,
     weave,
     write_checkpoint,
@@ -70,6 +72,31 @@ def test_deltas_shape_mismatch_names_tensor(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "missing tensor" in err or "shape" in err
+
+
+def test_refused_sweep_makes_no_output_folder(tmp_path, capsys):
+    # the inputs are checked before the folder is made, as deltas checks them before its own
+    bad = tmp_path / "bad.safetensors"
+    write_checkpoint(random_map(random.Random(0), {"encoder.layer0.weight": (2, 2)}), bad)
+    out = tmp_path / "new" / "sweep"
+    assert run("analyze", "sweep", "--method", "task_arithmetic", "--pretrained", PRE, "--out-dir", out, bad) == 1
+    assert "missing tensor 'encoder.layer0.bias'" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    with pytest.raises(FingerprintMismatch, match="missing tensor"):
+        sweep_emit(read_checkpoint(PRE), [read_checkpoint(bad)], MergeSpec("task_arithmetic"), SearchSpace((1.0,)), out)
+    assert not (tmp_path / "new").exists()
+
+
+def test_any_output_name_the_filesystem_takes_is_written(tmp_path):
+    # 255-byte names: weave's checkpoint and its report, which is as long, and a JSON output
+    out = tmp_path / f"{'m' * 243}.safetensors"
+    assert run("weave", "--method", "task_arithmetic", "--pretrained", PRE, "--out", out, CARS, MNIST) == 0
+    report = tmp_path / f"{'m' * 243}.report.json"
+    assert read_checkpoint(out).names and json.loads(report.read_text())["n_tasks"] == 2
+    cosine = tmp_path / f"{'c' * 250}.json"
+    assert run("analyze", "cosine", "--out", cosine, "--pretrained", PRE, CARS, MNIST) == 0
+    assert json.loads(cosine.read_text())["labels"] == ["task_cars", "task_mnist"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, report.name, cosine.name])
 
 
 def test_merge_matches_library_bitwise(tmp_path):

@@ -588,6 +588,17 @@ def test_failed_header_write_leaves_no_partial_and_the_target_intact(tmp_path, m
     assert [p.name for p in tmp_path.iterdir()] == ["out.safetensors"]
 
 
+@pytest.mark.parametrize("stem", ["m" * 243, "\u00e9" * 121], ids=["ascii", "two-byte"])
+def test_write_checkpoint_takes_any_name_the_filesystem_takes(tmp_path, stem):
+    # the partial's name adds 26 bytes to the target's, so it keeps only the part of the target's name that fits
+    # 255 bytes, cut by bytes: a 255-byte name, and a 254-byte one of 2-byte characters whose cut splits one
+    target = tmp_path / f"{stem}.safetensors"
+    model = TensorMap({"a": np.arange(3, dtype=np.float32)})
+    write_checkpoint(model, target)
+    assert read_checkpoint(target) == model
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
 def test_header_length_above_the_limit_is_rejected_before_reading(tmp_path):
     # a sparse file that holds the declared header length, so only the limit can reject it
     target = tmp_path / "huge.safetensors"

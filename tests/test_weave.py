@@ -26,6 +26,7 @@ from tensorweave import (
     read_checkpoint,
     registry_lookup,
     store,
+    sweep_emit,
     task_arithmetic,
     weave,
     write_checkpoint,
@@ -414,18 +415,18 @@ def test_each_pooling_draws_only_the_sweep_members_it_needs(monkeypatch, rng, po
             PoolSpec(pooling, seed=9, include_deltas=include_deltas))
     expected, _ = weave(pre, finetuned, *args)
     drawn = dict.fromkeys(pre.names, 0)
-    tensor_sweep = weave_module._tensor_sweep
+    sweep = weave_module._sweep
 
     def counted_sweep(name, *rest):
-        values, flats, top, members = tensor_sweep(name, *rest)
+        top, members = sweep(name, *rest)
 
         def counted(part):
             for member in members(part):
                 drawn[name] += 1
                 yield member
-        return values, flats, top, counted
+        return top, counted
 
-    monkeypatch.setattr(weave_module, "_tensor_sweep", counted_sweep)
+    monkeypatch.setattr(weave_module, "_sweep", counted_sweep)
     woven, _ = weave(pre, finetuned, *args)
     assert drawn == dict.fromkeys(pre.names, drawn_per_tensor)
     assert woven == expected
@@ -570,8 +571,11 @@ def test_build_augmented_fast_path_matches_per_factor_merges(rng):
             assert member == direct
 
 
-def test_build_augmented_draws_each_dare_stream_once(monkeypatch, rng):
+def test_build_augmented_draws_each_dare_stream_once(monkeypatch, rng, tmp_path):
+    # every sweep path runs the kernel once per tensor, so dare draws each task's mask of each tensor once, whatever
+    # the number of factors; random pooling adds its one lane-0 draw per tensor
     import tensorweave.methods as methods
+    weave_module = importlib.import_module("tensorweave.weave")
 
     keys = []
     real_uniform01 = methods.uniform01
@@ -581,10 +585,23 @@ def test_build_augmented_draws_each_dare_stream_once(monkeypatch, rng):
         return real_uniform01(key, count)
 
     monkeypatch.setattr(methods, "uniform01", counting_uniform01)
-    deltas = as_task_vectors([random_map(rng, {"a": (5,), "b": (2, 3), "c": (4,)}) for _ in range(2)])
+    monkeypatch.setattr(weave_module, "uniform01", counting_uniform01)
+    shapes = {"a": (5,), "b": (2, 3), "c": (4,)}
+    pre, finetuned = random_map(rng, shapes), [random_map(rng, shapes) for _ in range(2)]
+    deltas = as_task_vectors([random_map(rng, shapes) for _ in range(2)])
     spec = MergeSpec("dare", params={"drop_rate": 0.5}, seed=3)
-    build_augmented(deltas, registry_lookup("dare"), spec, SearchSpace((0.5, 1.0, 1.5)))
-    assert len(keys) == 2 * 3
+    tasks, tensors = 2, 3
+    for space in (SearchSpace((1.0,)), SearchSpace((0.5, 1.0, 1.5))):
+        runs = [
+            (lambda: build_augmented(deltas, registry_lookup("dare"), spec, space), 0),
+            (lambda: weave(pre, finetuned, spec, space, PoolSpec("avg")), 0),
+            (lambda: weave(pre, finetuned, spec, space, PoolSpec("random", seed=5)), tensors),
+            (lambda: sweep_emit(pre, finetuned, spec, space, tmp_path / f"sweep{len(space.lambdas)}"), 0),
+        ]
+        for run, pooling_draws in runs:
+            keys.clear()
+            run()
+            assert len(keys) == tasks * tensors + pooling_draws
 
 
 def test_weave_thread_count_invariance(rng):
