@@ -190,10 +190,10 @@ def _merge_spec(args: argparse.Namespace) -> MergeSpec:
 def _read_inputs(
     pretrained_path: str, finetuned_paths: list[str], stack: contextlib.ExitStack
 ) -> tuple[_Reader, list[_Reader], list[str]]:
-    """The pre-trained and fine-tuned checkpoints, and the task labels (file stems).
+    """The pre-trained and fine-tuned checkpoints, and the task labels (file stems): the one check of the inputs.
 
-    Each checkpoint is an open reader, closed with ``stack``, whose header
-    is checked now and whose tensors are read when asked.
+    Each checkpoint is an open reader, closed with ``stack``, whose header is checked now, and each fine-tuned
+    one against the pre-trained one (``_task_labels``), before any output is claimed; tensors are read when asked.
     """
     log.info("reading pre-trained checkpoint %s", pretrained_path)
     pretrained = stack.enter_context(_Reader(pretrained_path))
@@ -202,13 +202,12 @@ def _read_inputs(
         log.info("reading fine-tuned checkpoint %s", path)
         finetuned.append(stack.enter_context(_Reader(path)))
         labels.append(Path(path).stem)
-    return pretrained, finetuned, labels
+    return pretrained, finetuned, _task_labels(pretrained, finetuned, labels)
 
 
 def _cmd_deltas(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
-        labels = _task_labels(pretrained, finetuned, labels)
         stems: list[str] = []
         for index, stem in enumerate(labels, start=1):
             while stem in stems:
@@ -229,7 +228,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     with contextlib.ExitStack() as stack:
         pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
-        labels = _task_labels(pretrained, finetuned, labels)
         _write_sweep(pretrained, finetuned, spec, SearchSpace((spec.lam,)), [args.out], labels)
     log.info("wrote %s", args.out)
     return 0
@@ -254,7 +252,8 @@ def _cmd_analyze_cosine(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:  # the flats are filled tensor by tensor from the open readers
         emit = stack.enter_context(_json_output(args.out))
         if args.pretrained is not None:
-            matrix = _cosine(*_flat_task_vectors(*_read_inputs(args.pretrained, args.inputs, stack)))
+            pretrained, finetuned, labels = _read_inputs(args.pretrained, args.inputs, stack)
+            matrix = _cosine(labels, _flat_task_vectors(pretrained, finetuned, labels))
         else:
             matrix = cosine_matrix([TaskVector(stack.enter_context(_Reader(path)), Path(path).stem, pos)
                                     for pos, path in enumerate(args.inputs, start=1)])

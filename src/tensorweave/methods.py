@@ -372,8 +372,8 @@ _REGISTRY: dict[str, _Method] = {m.name: m for m in (task_arithmetic, dare, ties
 def sweep_base_kernel(merge_fn: _Method) -> _BaseKernel:
     """The factor-free per-tensor kernel behind a built-in merge function.
 
-    Sweeps use it to evaluate the merge once per tensor and rescale per
-    factor. Raises ValueError for any other function.
+    Nothing in the package calls it, since sweeps run the kernel through ``_sweep``; only
+    the benchmark's traced run (``perfbench/traced.py``) and tests do. Raises ValueError for any other function.
     """
     return _builtin(merge_fn).kernel
 

@@ -132,11 +132,9 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
     return _cosine([tv.source_name for tv in vectors], flats)
 
 
-def _flat_task_vectors(pretrained: TensorMap, finetuned: Sequence[TensorMap],
-                       labels: Sequence[str] | None) -> tuple[list[str], list[np.ndarray]]:
-    """The checked labels, and each checkpoint's task vector as ``cosine_matrix`` flattens it; readers serve."""
-    labels = _task_labels(pretrained, finetuned, labels)
-    return labels, _fill_flats(pretrained, lambda name: (
+def _flat_task_vectors(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: list[str]) -> list[np.ndarray]:
+    """Each checkpoint's task vector as ``cosine_matrix`` flattens it, of ``_task_labels``' checked ``labels``."""
+    return _fill_flats(pretrained, lambda name: (
         t.values for t in _task_vectors(name, pretrained.array(name), finetuned, labels)), len(labels))
 
 

@@ -57,6 +57,7 @@ __all__ = [
 
 _POOLINGS = ("avg", "random", "magmax")
 _DEFAULT_STEP = 0.1
+_MAX_FACTORS = 100_000  # a range of more is likely a mistyped step; a million factors take seconds to list
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SearchSpace:
 
     @classmethod
     def parse(cls, text: str) -> "SearchSpace":
-        """Parse 'start:stop:step' (inclusive within 1e-9) or a JSON list."""
+        """Parse 'start:stop:step' (inclusive within 1e-9, a step of at least 1e-12) or a JSON list."""
         text = text.strip()
         if text.startswith("["):
             try:
@@ -101,18 +102,16 @@ class SearchSpace:
             raise ValueError(f"range {text!r} must have step > 0 and stop >= start")
         if not all(map(math.isfinite, (start, stop, step, (stop - start) / step))):
             raise ValueError(f"range {text!r} must have a finite start, stop and step, and a finite number of factors")
-        return cls(_spaced(start, stop, step))
-
-
-def _spaced(start: float, stop: float, step: float) -> tuple[float, ...]:
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + i * step, 12) for i in range(count))
+        count = math.floor((stop - start) / step + 1e-9) + 1  # counted before any is listed
+        if step < 1e-12 or count > _MAX_FACTORS:  # a finer step than the factors' 12 decimals would repeat them
+            raise ValueError(f"range {text!r} must have a step of at least 1e-12 and at most {_MAX_FACTORS} factors")
+        return cls(tuple(round(start + i * step, 12) for i in range(count)))
 
 
 def default_search_space(method: str) -> SearchSpace:
     """The method's default sweep: its registered range at step 0.1."""
     start, stop = registry_lookup(method).lambda_range
-    return SearchSpace(_spaced(start, stop, _DEFAULT_STEP))
+    return SearchSpace.parse(f"{start!r}:{stop!r}:{_DEFAULT_STEP!r}")
 
 
 @dataclass(frozen=True)
@@ -246,19 +245,19 @@ def weave(
     the values), one tensor at a time, so an open checkpoint reader serves as an input.
     """
     tensors: dict[str, Tensor] = {}
+    labels = _task_labels(pretrained, finetuned, labels)
     report = _weave(pretrained, finetuned, spec_template, space, pool_spec, labels, threads, tensors.__setitem__)
     return TensorMap(tensors, metadata=pretrained.metadata), report
 
 
 def _weave(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec_template: MergeSpec, space: SearchSpace | None,
-           pool_spec: PoolSpec | None, labels: Sequence[str] | None, threads: int, sink) -> WeaveReport:
-    """``weave``, giving each tensor to ``sink(name, tensor)`` in name order; the report's time includes the sink's."""
+           pool_spec: PoolSpec | None, labels: list[str], threads: int, sink) -> WeaveReport:
+    """``weave`` of checked ``labels``, giving each tensor to ``sink(name, tensor)`` in name order, timing the sink."""
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
     started = time.perf_counter()
     space = space if space is not None else default_search_space(spec_template.method)
     pool_spec = pool_spec if pool_spec is not None else PoolSpec()
-    labels = _task_labels(pretrained, finetuned, labels)
     raw = len(finetuned) if pool_spec.include_deltas else 0  # how many task vectors are pooled
     n_members = len(space.lambdas) + raw
 
@@ -304,15 +303,15 @@ def sweep_emit(
     out_dir = Path(out_dir)
     labels = _task_labels(pretrained, finetuned, labels)  # checked before the folder is made
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
+    paths = [out_dir / f"{spec_template.method}_lambda{lam!r}.safetensors" for lam in space.lambdas]
     manifest = {
         "spec": spec_template.to_json_dict(),
         "lambdas": list(space.lambdas),
-        "files": [{"lambda": lam, "path": file} for lam, file in zip(space.lambdas, files)],
+        "files": [{"lambda": lam, "path": path.name} for lam, path in zip(space.lambdas, paths)],
     }
-    _write_sweep(pretrained, finetuned, spec_template, space, [out_dir / file for file in files], labels,
+    _write_sweep(pretrained, finetuned, spec_template, space, paths, labels,
                  (out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n"))
-    return [out_dir / file for file in files]
+    return paths
 
 
 def _write_sweep(pretrained: TensorMap, finetuned: Sequence[TensorMap], spec: MergeSpec, space: SearchSpace,

@@ -87,6 +87,21 @@ def test_refused_sweep_makes_no_output_folder(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("command", ["weave", "merge", "deltas"])
+def test_inputs_are_checked_before_any_output_is_claimed(tmp_path, capsys, command):
+    # each fine-tuned checkpoint is checked against the pre-trained one before any output is opened, so the
+    # mismatch, not the missing folder of --out, is the error, and nothing is made
+    bad = tmp_path / "bad.safetensors"
+    write_checkpoint(random_map(random.Random(0), {"encoder.layer0.weight": (2, 2)}), bad)
+    out = tmp_path / "missing" / "out.safetensors"
+    argv = {"weave": ("weave", "--method", "task_arithmetic", "--out", out),
+            "merge": ("merge", "--method", "task_arithmetic", "--out", out),
+            "deltas": ("deltas", "--out-dir", out.parent)}[command]
+    assert run(*argv, "--pretrained", PRE, CARS, bad) == 1
+    assert capsys.readouterr().err == "error: fine-tuned checkpoint 2: missing tensor 'encoder.layer0.bias'\n"
+    assert [p.name for p in tmp_path.iterdir()] == [bad.name]
+
+
 def test_any_output_name_the_filesystem_takes_is_written(tmp_path):
     # 255-byte names: weave's checkpoint and its report, which is as long, and a JSON output
     out = tmp_path / f"{'m' * 243}.safetensors"
@@ -97,6 +112,17 @@ def test_any_output_name_the_filesystem_takes_is_written(tmp_path):
     assert run("analyze", "cosine", "--out", cosine, "--pretrained", PRE, CARS, MNIST) == 0
     assert json.loads(cosine.read_text())["labels"] == ["task_cars", "task_mnist"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, report.name, cosine.name])
+
+
+def test_weave_refuses_an_out_whose_report_name_is_too_long(tmp_path, capsys):
+    # a 253-byte --out with a 3-byte suffix is a name the filesystem takes, but its report's, <stem>.report.json,
+    # is 262 bytes: the report is claimed before any tensor is read, so the command fails then, naming it
+    out = tmp_path / f"{'m' * 250}.st"
+    report = tmp_path / f"{'m' * 250}.report.json"
+    assert run("weave", "--method", "task_arithmetic", "--pretrained", PRE, "--out", out, CARS) == 1
+    too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert capsys.readouterr().err == f"error: {too_long}: '{report}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_merge_matches_library_bitwise(tmp_path):
@@ -323,18 +349,23 @@ def test_weave_random_pooling_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_weave_threads_do_not_change_output(tmp_path):
+@pytest.mark.parametrize("options", [
+    ("--method", "ties", "--keep-fraction", "0.4"),
+    ("--method", "task_arithmetic", "--pooling", "magmax", "--no-include-deltas"),
+    {"method": "dare", "drop_rate": 0.5, "seed": 3, "pooling": "random"},
+    ("--method", "breadcrumbs", "--beta", "0.1", "--gamma", "0.1"),
+], ids=["ties-avg", "task_arithmetic-magmax-no-deltas", "dare-random-config", "breadcrumbs-avg"])
+def test_weave_threads_do_not_change_output(tmp_path, options):
+    if isinstance(options, dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(options))
+        options = ("--config", config)
     blobs = []
-    for threads in ("1", "4", "8"):
+    for threads in ("1", "2", "4", "8"):
         out = tmp_path / f"t{threads}.safetensors"
-        code = run(
-            "weave", "--method", "dare", "--drop-rate", "0.5", "--seed", "3",
-            "--pooling", "random", "--threads", threads,
-            "--pretrained", PRE, "--out", out, CARS, MNIST,
-        )
-        assert code == 0
+        assert run("weave", *options, "--threads", threads, "--pretrained", PRE, "--out", out, CARS, MNIST, HALF) == 0
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert len(set(blobs)) == 1
 
 
 def test_weave_threads_below_one_exits_2_before_reading(tmp_path, capsys):
@@ -354,7 +385,7 @@ def test_weave_threads_below_one_from_config_names_the_config_key(tmp_path, caps
     out = tmp_path / "t0.safetensors"
     assert run("weave", "--config", config, "--pretrained", PRE, "--out", out, CARS) == 2
     assert capsys.readouterr().err == "error: config key 'threads': must be at least 1, got 0\n"
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [config]  # no checkpoint and no report
 
 
 def test_config_file_precedence(tmp_path):
@@ -955,7 +986,7 @@ MERGE_PARAMS = {
 @pytest.mark.parametrize("method", sorted(MERGE_PARAMS))
 def test_merge_writes_the_sweep_file_of_its_lambda(tmp_path, method, half_role):
     # merge is a one-factor sweep; task_half holds an F16 tensor, which widens on read as a task and,
-    # as the pre-trained model, makes both outputs record its stored dtype under dtype.*
+    # as the pre-trained model, makes both outputs, and weave's, record its stored dtype under dtype.*
     inputs = ("--pretrained", PRE, CARS, MNIST, HALF) if half_role == "task" else ("--pretrained", HALF, PRE, CARS)
     merged = tmp_path / "merged.safetensors"
     assert run("merge", "--method", method, "--lambda", "0.7", *MERGE_PARAMS[method], "--out", merged, *inputs) == 0
@@ -966,7 +997,11 @@ def test_merge_writes_the_sweep_file_of_its_lambda(tmp_path, method, half_role):
     )
     assert code == 0
     assert merged.read_bytes() == (sweep / f"{method}_lambda0.7.safetensors").read_bytes()
-    assert ("dtype.head.weight" in read_checkpoint(merged).metadata) == (half_role == "pretrained")
+    woven = tmp_path / "woven.safetensors"
+    assert run("weave", "--method", method, *MERGE_PARAMS[method], "--out", woven, *inputs) == 0
+    for written in (read_checkpoint(merged), read_checkpoint(woven)):
+        assert written["head.weight"].stored_dtype == "F32"
+        assert written.metadata.get("dtype.head.weight") == ("F16" if half_role == "pretrained" else None)
 
 
 def random_checkpoints(folder: Path, count: int, shape: tuple[int, int], n_tensors: int) -> list[Path]:

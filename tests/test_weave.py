@@ -92,6 +92,9 @@ def test_search_space_parse_range():
     assert space.lambdas == tuple(round(0.1 * i, 10) for i in range(1, 11))
     assert SearchSpace.parse("0.5:0.5:0.1").lambdas == (0.5,)
     assert SearchSpace.parse("[0.25, 0.75]").lambdas == (0.25, 0.75)
+    assert len(SearchSpace.parse("1:100000:1").lambdas) == 100_000  # the most factors a range may list
+    with pytest.raises(ValueError, match="at most 100000 factors"):
+        SearchSpace.parse("1:100001:1")
     with pytest.raises(ValueError):
         SearchSpace.parse("1.0:0.1")
     with pytest.raises(ValueError):
@@ -119,7 +122,12 @@ def test_search_space_parse_refuses_a_non_finite_range(text, tmp_path, capsys):
     ("a:1:0.1", "invalid scaling-factor range 'a:1:0.1': could not convert string to float: 'a'"),
     ("0.1:1:0", "range '0.1:1:0' must have step > 0 and stop >= start"),
     ("1:0.5:0.1", "range '1:0.5:0.1' must have step > 0 and stop >= start"),
-], ids=["bad-json", "nested-too-deep", "non-numeric", "zero-step", "stop-below-start"])
+    ("0.1:1.0:1e-12", "range '0.1:1.0:1e-12' must have a step of at least 1e-12 and at most 100000 factors"),
+    ("0.1:0.1000001:1e-13",
+     "range '0.1:0.1000001:1e-13' must have a step of at least 1e-12 and at most 100000 factors"),
+    ("0.5:0.5:1e-13", "range '0.5:0.5:1e-13' must have a step of at least 1e-12 and at most 100000 factors"),
+], ids=["bad-json", "nested-too-deep", "non-numeric", "zero-step", "stop-below-start", "too-many-factors",
+        "step-below-grain", "one-factor-step-below-grain"])
 def test_search_space_parse_errors_exit_2_with_their_message(text, message, tmp_path, capsys):
     with pytest.raises(ValueError) as caught:
         SearchSpace.parse(text)
