@@ -4,7 +4,9 @@ Every command is a thin shim over the library; outputs are bitwise equal
 to direct library calls. A command that writes a model reads each input
 tensor when it needs it and writes each output tensor once made, holding a
 few tensors, not a model; ``merge`` is a one-factor sweep, writing the file
-``analyze sweep`` writes for its lambda. Logs go to stderr, data to files or stdout.
+``analyze sweep`` writes for its lambda. Every command checks its inputs first (headers, or
+``best-lambda``'s whole CSV), then claims its outputs, then reads tensors, so a faulty input
+makes nothing. Logs go to stderr, data to files or stdout.
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage or validation
 error.
 
@@ -30,7 +32,7 @@ from pathlib import Path
 from .analysis import AccuracyTable, best_lambda_histogram
 from .methods import _REGISTRY, MergeSpec, available_methods
 from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _Replacement, _stream, _Writer
-from .vectors import TaskVector, _cosine, _flat_task_vectors, _task_labels, _task_vectors, cosine_matrix
+from .vectors import _check_deltas, _cosine, _task_labels, _task_vectors
 from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, _write_sweep, default_search_space, sweep_emit
 
 log = logging.getLogger("tensorweave")
@@ -237,33 +239,35 @@ def _cmd_weave(args: argparse.Namespace) -> int:
     spec = _merge_spec(args)
     pool_spec = PoolSpec(pooling=args.pooling, seed=spec.seed, include_deltas=args.include_deltas)
 
-    report_path = Path(args.out).with_suffix(".report.json")
-    with contextlib.ExitStack() as stack:  # the report is written before the checkpoint commits, and with it
+    with contextlib.ExitStack() as stack:  # the report is committed before the checkpoint, and with it
         pretrained, finetuned, labels = _read_inputs(args.pretrained, args.finetuned, stack)
         writer = stack.enter_context(_Writer(args.out, pretrained.items(), pretrained.metadata))
-        report = stack.enter_context(_Replacement(report_path, b""))  # claimed before any tensor is read
-        woven = _weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads, writer.write)
-        report.append((woven.to_json() + "\n").encode("utf-8"))
-    log.info("wrote %s and %s", args.out, report_path)
+        emit = stack.enter_context(_json_output(Path(args.out).with_suffix(".report.json")))
+        emit(_weave(pretrained, finetuned, spec, args.lambda_range, pool_spec, labels, args.threads,
+                    writer.write).to_json())
+    log.info("wrote %s", args.out)
     return 0
 
 
 def _cmd_analyze_cosine(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:  # the flats are filled tensor by tensor from the open readers
-        emit = stack.enter_context(_json_output(args.out))
         if args.pretrained is not None:
-            pretrained, finetuned, labels = _read_inputs(args.pretrained, args.inputs, stack)
-            matrix = _cosine(labels, _flat_task_vectors(pretrained, finetuned, labels))
+            model, finetuned, labels = _read_inputs(args.pretrained, args.inputs, stack)
+            produce = lambda name: (t.values for t in _task_vectors(name, model.array(name), finetuned, labels))
         else:
-            matrix = cosine_matrix([TaskVector(stack.enter_context(_Reader(path)), Path(path).stem, pos)
-                                    for pos, path in enumerate(args.inputs, start=1)])
-        emit(matrix.to_json())
+            deltas = [stack.enter_context(_Reader(path)) for path in args.inputs]
+            _check_deltas(deltas, "cosine_matrix")
+            model, labels = deltas[0], [Path(path).stem for path in args.inputs]
+            produce = lambda name: (delta.array(name) for delta in deltas)
+        emit = stack.enter_context(_json_output(args.out))
+        emit(_cosine(labels, model, produce).to_json())
     return 0
 
 
 def _cmd_analyze_best_lambda(args: argparse.Namespace) -> int:
+    histogram = best_lambda_histogram(AccuracyTable.from_csv(args.csv))
     with _json_output(args.out) as emit:
-        emit(best_lambda_histogram(AccuracyTable.from_csv(args.csv)).to_json())
+        emit(histogram.to_json())
     return 0
 
 
@@ -292,7 +296,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 @contextlib.contextmanager
-def _json_output(out: str | None):
+def _json_output(out: str | Path | None):
     """A context giving what writes a command's JSON text and a newline: to stdout, or to ``out``, claimed on entry."""
     if out is None:
         yield print

@@ -125,40 +125,34 @@ def cosine_matrix(vectors: Sequence[TaskVector]) -> SimilarityMatrix:
     Each vector flattens to one long array in canonical tensor order.
     A zero vector has similarity 0 with everything; its diagonal entry is
     defined as 1. Deltas are read by ``.array(name)`` only, so checkpoint
-    readers serve, and each is read one tensor at a time.
+    readers serve, and each is read one tensor at a time. The dot products
+    go through BLAS ``ddot``, whose summation order follows the kernel
+    OpenBLAS picks for the CPU, so the last bits may differ across CPUs.
     """
     _check_deltas([tv.delta for tv in vectors], "cosine_matrix")
-    flats = _fill_flats(vectors[0].delta, lambda name: (tv.delta.array(name) for tv in vectors), len(vectors))
-    return _cosine([tv.source_name for tv in vectors], flats)
+    return _cosine([tv.source_name for tv in vectors], vectors[0].delta,
+                   lambda name: (tv.delta.array(name) for tv in vectors))
 
 
-def _flat_task_vectors(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: list[str]) -> list[np.ndarray]:
-    """Each checkpoint's task vector as ``cosine_matrix`` flattens it, of ``_task_labels``' checked ``labels``."""
-    return _fill_flats(pretrained, lambda name: (
-        t.values for t in _task_vectors(name, pretrained.array(name), finetuned, labels)), len(labels))
+def _cosine(
+    labels: Sequence[str], model: TensorMap, produce: Callable[[str], Iterable[np.ndarray]]
+) -> SimilarityMatrix:
+    """Cosine similarity between every pair of task vectors, labelled in order, of checked inputs.
 
-
-def _fill_flats(model: TensorMap, produce: Callable[[str], Iterable[np.ndarray]], count: int) -> list[np.ndarray]:
-    """``count`` float64 flats, each tensor of ``model`` spanning its size in name order, filled tensor by tensor:
-    ``produce(name)`` gives each flat's float32 values of that tensor, so no float32 input outlives its tensor.
-
-    Widening float32 to float64 is exact, so a flat holds the concatenated values bit for bit.
+    Each task vector is a float64 flat, each tensor of ``model`` spanning its size in name order, filled
+    tensor by tensor: ``produce(name)`` gives each flat's float32 values of that tensor, so no float32 input
+    outlives its tensor. Widening float32 to float64 is exact, so a flat holds the concatenated values bit for bit.
     """
     spans, end = {}, 0
     for name, entry in model.items():
         spans[name] = slice(end, end + entry.size)
         end += entry.size
-    flats = [np.empty(end, dtype=np.float64) for _ in range(count)]
+    flats = [np.empty(end, dtype=np.float64) for _ in labels]
 
     def filler(flat: np.ndarray):
         return lambda name, values: flat.__setitem__(spans[name], values.ravel())
 
     _stream(model.names, produce, [filler(flat) for flat in flats])
-    return flats
-
-
-def _cosine(labels: Sequence[str], flats: Sequence[np.ndarray]) -> SimilarityMatrix:
-    """Cosine similarity between every pair of flat float64 task vectors, labelled in order."""
     norms = [float(np.sqrt(np.dot(f, f))) for f in flats]
 
     n = len(flats)

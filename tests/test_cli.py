@@ -32,7 +32,6 @@ from tensorweave import (
     registry_lookup,
     store,
     sweep_emit,
-    vectors,
     weave,
     write_checkpoint,
 )
@@ -87,19 +86,32 @@ def test_refused_sweep_makes_no_output_folder(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
-@pytest.mark.parametrize("command", ["weave", "merge", "deltas"])
+@pytest.mark.parametrize("command", ["weave", "merge", "deltas", "cosine", "cosine-deltas", "best-lambda"])
 def test_inputs_are_checked_before_any_output_is_claimed(tmp_path, capsys, command):
-    # each fine-tuned checkpoint is checked against the pre-trained one before any output is opened, so the
-    # mismatch, not the missing folder of --out, is the error, and nothing is made
+    # every input is checked before any output is opened (each fine-tuned checkpoint against the pre-trained one,
+    # each delta file against the first, the whole CSV), so the input's fault, not the missing folder of --out,
+    # is the error, and nothing is made
     bad = tmp_path / "bad.safetensors"
     write_checkpoint(random_map(random.Random(0), {"encoder.layer0.weight": (2, 2)}), bad)
+    bad_csv = tmp_path / "bad.csv"  # the repeated pair is found only once the whole CSV is read
+    bad_csv.write_text("task,lambda,accuracy\ncars,0.5,0.9\nmnist,0.5,0.8\ncars,0.5,0.7\n")
     out = tmp_path / "missing" / "out.safetensors"
     argv = {"weave": ("weave", "--method", "task_arithmetic", "--out", out),
             "merge": ("merge", "--method", "task_arithmetic", "--out", out),
-            "deltas": ("deltas", "--out-dir", out.parent)}[command]
-    assert run(*argv, "--pretrained", PRE, CARS, bad) == 1
-    assert capsys.readouterr().err == "error: fine-tuned checkpoint 2: missing tensor 'encoder.layer0.bias'\n"
-    assert [p.name for p in tmp_path.iterdir()] == [bad.name]
+            "deltas": ("deltas", "--out-dir", out.parent),
+            "cosine": ("analyze", "cosine", "--out", out),
+            "cosine-deltas": ("analyze", "cosine", "--out", out),
+            "best-lambda": ("analyze", "best-lambda", "--out", out)}[command]
+    missing = "missing tensor 'encoder.layer0.bias'"
+    inputs, code, fault = ("--pretrained", PRE, CARS, bad), 1, f"fine-tuned checkpoint 2: {missing}"
+    if command == "cosine-deltas":
+        inputs, fault = (CARS, bad), f"task vector 2: {missing}"
+    elif command == "best-lambda":
+        inputs, code = ("--csv", bad_csv), 2
+        fault = f"{bad_csv}: line 4: duplicate (task, lambda) pair ('cars', 0.5), first seen on line 2"
+    assert run(*argv, *inputs) == code
+    assert capsys.readouterr().err == f"error: {fault}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [bad_csv.name, bad.name]
 
 
 def test_any_output_name_the_filesystem_takes_is_written(tmp_path):
@@ -1055,9 +1067,11 @@ def test_cli_does_not_hold_its_inputs_whole(tmp_path, command):
 
 
 def concatenated_cosine_json(maps: list[TensorMap], labels: list[str]) -> str:
-    """The cosine JSON of whole loaded maps, each flattened by ``np.concatenate`` in name order."""
-    flats = [np.concatenate([m.array(name).ravel() for name in m] or [np.zeros(0)], dtype=np.float64) for m in maps]
-    return vectors._cosine(labels, flats).to_json()
+    """``cosine_matrix``'s JSON of one-tensor maps, each holding a whole loaded map's values concatenated by
+    ``np.concatenate`` in name order."""
+    flat_vectors = [TaskVector(TensorMap({"flat": np.concatenate([m.array(name).ravel() for name in m])}), label, pos)
+                    for pos, (m, label) in enumerate(zip(maps, labels), start=1)]
+    return cosine_matrix(flat_vectors).to_json()
 
 
 @pytest.mark.parametrize("inputs", ["fixtures", "memory-test"])

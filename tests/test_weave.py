@@ -47,19 +47,6 @@ def tmap(**tensors):
 # -------------------------------------------------------------- search space
 
 
-def test_default_spaces_match_published_ranges():
-    standard = tuple(round(0.1 * i, 10) for i in range(1, 11))
-    extended = tuple(round(0.1 * i, 10) for i in range(1, 16))
-    for method in ("task_arithmetic", "dare", "breadcrumbs", "magmax"):
-        space = default_search_space(method)
-        assert space.lambdas == standard
-        assert len(space.lambdas) == 10
-    space = default_search_space("ties")
-    assert space.lambdas == extended
-    assert len(space.lambdas) == 15
-    assert space.lambdas[0] == 0.1 and space.lambdas[-1] == 1.5
-
-
 def test_unknown_method_is_refused_by_spec_and_default_space():
     available = "available: breadcrumbs, dare, magmax, task_arithmetic, ties"
     for make in (lambda: MergeSpec("pcb"), lambda: default_search_space("pcb")):
@@ -378,39 +365,6 @@ def test_weave_closed_form_ta_avg(rng):
                 np.testing.assert_allclose(final.array(name), expected, atol=1e-6)
 
 
-@pytest.mark.parametrize("method,params", [
-    ("task_arithmetic", {}),
-    ("dare", {"drop_rate": 0.35}),
-    ("ties", {"keep_fraction": 0.6}),
-    ("breadcrumbs", {"beta": 0.15, "gamma": 0.1}),
-    ("magmax", {}),
-])
-@pytest.mark.parametrize("pooling", ["avg", "random", "magmax"])
-def test_weave_equals_naive_oracle(rng, method, params, pooling):
-    pre, finetuned = random_instance(rng, 3)
-    spec = MergeSpec(method, params=params, seed=404)
-    space = SearchSpace((0.3, 0.8, 1.2))
-    final, _ = weave(
-        pre,
-        finetuned,
-        spec,
-        space=space,
-        pool_spec=PoolSpec(pooling=pooling, seed=404, include_deltas=True),
-    )
-    expected = oracles.weave_naive(
-        map_to_lists(pre),
-        [map_to_lists(ft) for ft in finetuned],
-        method,
-        params,
-        404,
-        list(space.lambdas),
-        pooling,
-        include_deltas=True,
-    )
-    for name in pre:
-        assert final.array(name).ravel().tolist() == expected[name]
-
-
 @pytest.mark.parametrize("include_deltas", [True, False])
 @pytest.mark.parametrize("pooling, drawn_per_tensor", [("avg", 3), ("random", 3), ("magmax", 0)])
 def test_each_pooling_draws_only_the_sweep_members_it_needs(monkeypatch, rng, pooling, drawn_per_tensor,
@@ -610,22 +564,6 @@ def test_build_augmented_draws_each_dare_stream_once(monkeypatch, rng, tmp_path)
             keys.clear()
             run()
             assert len(keys) == tasks * tensors + pooling_draws
-
-
-def test_weave_thread_count_invariance(rng):
-    pre, finetuned = random_instance(rng, 3, max_elements=200)
-    spec = MergeSpec("dare", params={"drop_rate": 0.5}, seed=99)
-    outputs = []
-    for threads in (1, 4, 8):
-        final, _ = weave(
-            pre,
-            finetuned,
-            spec,
-            pool_spec=PoolSpec(pooling="random", seed=99),
-            threads=threads,
-        )
-        outputs.append({name: final.array(name).tobytes() for name in final})
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_weave_rejects_fewer_than_one_thread(rng):
