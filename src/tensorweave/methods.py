@@ -86,21 +86,16 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _bit_select(mask: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per element, ``a`` where ``mask`` holds, else ``b`` (+0.0 if None): flat float32 arrays and a bool mask.
+def _bit_select(mask: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per element, ``a`` where ``mask`` holds, else +0.0: a flat float32 array and a bool mask.
 
     The mask becomes an all-ones or all-zeros word, and the pick is integer
-    arithmetic on the float32 bits, without a branch: ``b ^ ((a ^ b) & m)``,
-    or ``a & m``. It gives ``np.where``'s bits at a fraction of its time on
-    a mask that is not mostly one way.
+    arithmetic on the float32 bits, ``a & m``, without a branch. It gives
+    ``np.where``'s bits at a fraction of its time on a mask that is not
+    mostly one way.
     """
     m = np.subtract(0, mask.view(np.uint8), dtype=np.int32).view(np.uint32)
-    if b is None:
-        return np.bitwise_and(a.view(np.uint32), m, out=m).view(np.float32)
-    b = b.view(np.uint32)
-    picked = np.bitwise_xor(a.view(np.uint32), b)
-    np.bitwise_and(picked, m, out=picked)
-    return np.bitwise_xor(picked, b, out=picked).view(np.float32)
+    return np.bitwise_and(a.view(np.uint32), m, out=m).view(np.float32)
 
 
 def _accumulate(parts: Iterable[np.ndarray]) -> np.ndarray:
@@ -341,18 +336,21 @@ def _largest_magnitude(flats: Sequence[np.ndarray]) -> np.ndarray:
     """Per element of flat float32 arrays, the value of largest magnitude; ties keep the earliest array, signed
     zeros too.
 
-    Each array is compared with the running largest magnitude and picked
-    from by its bits (``_bit_select``), not by ``np.where``: that branches
-    per element, and on a mask as random as this one it costs several
-    times the compare.
+    Integer arithmetic on the ``int32`` bits, with no branch (``np.where`` costs several times as much on so random
+    a mask) and two scratch arrays: a finite magnitude ``bits & 0x7FFFFFFF`` is at most ``0x7F7FFFFF``, so
+    ``(best - mag) >> 31`` is all ones exactly where a later array is larger, and ``picked ^= (bits ^ picked) & mask``.
     """
-    picked = flats[0]
-    best = np.abs(picked)
+    picked = flats[0].view(np.int32).copy()
+    best = picked & 0x7FFFFFFF
+    mag, mask = np.empty_like(best), np.empty_like(best)
     for flat in flats[1:]:
-        mag = np.abs(flat)
-        picked = _bit_select(mag > best, flat, picked)
+        bits = flat.view(np.int32)
+        np.bitwise_and(bits, 0x7FFFFFFF, out=mag)
+        np.right_shift(np.subtract(best, mag, out=mask), 31, out=mask)
         np.maximum(best, mag, out=best)
-    return picked
+        np.bitwise_and(np.bitwise_xor(bits, picked, out=mag), mask, out=mag)
+        np.bitwise_xor(picked, mag, out=picked)
+    return picked.view(np.float32)
 
 
 def _magmax_base(name: str, flats: list[np.ndarray], indices: Sequence[int], spec: MergeSpec) -> np.ndarray:

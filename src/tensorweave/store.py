@@ -146,8 +146,10 @@ class TensorMap:
     def array(self, name: str) -> np.ndarray:
         return self._entries[name].values
 
-    def read(self, name: str) -> np.ndarray:
-        return self._entries[name].values.copy()  # fresh and writable, as the checkpoint reader's ``read`` gives
+    def read(self, name: str, out: np.ndarray) -> np.ndarray:
+        """Tensor ``name``'s values copied into ``out``, as the checkpoint reader's ``read`` fills it."""
+        out[...] = self._entries[name].values.reshape(out.shape)
+        return out
 
     def total_elements(self) -> int:
         return sum(t.size for t in self._entries.values())
@@ -200,7 +202,7 @@ class _Reader:
     """An open checkpoint whose whole header was checked on open; tensors are read on demand.
 
     Items are header entries (stored dtype and shape, no values). ``read``
-    reads one tensor into a fresh buffer by a positional read, so threads
+    reads one tensor into a buffer by a positional read, so threads
     may share a reader, and nothing else of the file is held; ``tensor``
     and ``array`` are that read, checked.
     Use it as a context manager, which closes the file.
@@ -235,17 +237,19 @@ class _Reader:
         """Tensor ``name``, read from the file now: a NaN, an Inf or a short read is an error."""
         return Tensor(self.read(name), self[name].stored_dtype, f"{self.path}: tensor {name!r}: {_NON_FINITE}")
 
-    def read(self, name: str) -> np.ndarray:
-        """Tensor ``name``'s values, read from the file now into a fresh writable float32 buffer, not yet checked
-        for finiteness; a short read is an error.
+    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Tensor ``name``'s values, read from the file now, not yet checked for finiteness, into ``out`` (C-contiguous
+        float32 of the tensor's size: F32 bytes are read straight into it) or else a fresh buffer of its shape.
 
         F16 widens exactly, each code looked up in ``_F16_TO_F32``: the same
         bits as ``astype(np.float32)``, in less time than the cast. The
         lookup goes by blocks of codes, so that its index copy stays small.
         """
         entry = self._entries[name]
-        values = np.empty(entry.shape, dtype=_DTYPES[entry.stored_dtype])
-        buffer = values.reshape(-1).view(np.uint8)
+        out = np.empty(entry.shape, dtype=np.float32) if out is None else out
+        widened = out.reshape(-1)
+        codes = widened if entry.stored_dtype == "F32" else np.empty(widened.size, dtype=np.uint16)
+        buffer = codes.view(np.uint8)
         done = 0
         while done < buffer.size:
             count = os.preadv(self._handle.fileno(), [buffer[done:]], self._start + entry.begin + done)
@@ -256,12 +260,10 @@ class _Reader:
                 )
             done += count
         if entry.stored_dtype == "F16":
-            codes, values = buffer.view(np.uint16), np.empty(entry.shape, dtype=np.float32)
-            widened = values.reshape(-1)
             for part in _blocks(codes.size):  # take copies each block's codes as intp indices
                 # every code is in range, so "wrap" changes none, and unlike "raise" it does not buffer out
                 np.take(_F16_TO_F32, codes[part], out=widened[part], mode="wrap")
-        return values
+        return out
 
 
 def _parse_header(path, handle) -> tuple[int, dict[str, _Entry], dict[str, str]]:

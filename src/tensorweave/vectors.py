@@ -39,7 +39,7 @@ def compute_deltas(
 ) -> list[TaskVector]:
     """Elementwise finetuned - pretrained for each checkpoint, in order.
 
-    Inputs are read by ``.array(name)`` and ``.read(name)`` only, so checkpoint readers serve.
+    Inputs are read by ``.array(name)`` and ``.read(name, out=buffer)`` only, so checkpoint readers serve.
     A difference that overflows float32 raises CheckpointError naming the
     checkpoint's label and the tensor.
     """
@@ -52,7 +52,13 @@ def compute_deltas(
 
 def _task_vectors(name: str, pre: np.ndarray, finetuned: Sequence[TensorMap], labels: list[str]) -> Iterator[Tensor]:
     """Tensor ``name``'s task vectors, in checkpoint order, each made (its fine-tuned tensor read) when reached."""
-    return (_task_delta(label, name, candidate, pre) for label, candidate in zip(labels, finetuned))
+    for label, candidate in zip(labels, finetuned):
+        row = _subtracted(name, pre, [candidate])
+        try:
+            tensor = Tensor(row.reshape(pre.shape))  # the one finiteness check; _checked says why it failed
+        except CheckpointError:
+            _checked(name, row, [candidate], [label])
+        yield tensor
 
 
 def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str] | None) -> list[str]:
@@ -74,21 +80,27 @@ def _check_deltas(maps: Sequence[TensorMap], caller: str, kind: str = "task vect
         require_compatible(maps[0], candidate, label=f"{kind} {pos}")
 
 
-def _task_delta(label: str, name: str, finetuned: TensorMap, pretrained: np.ndarray) -> Tensor:
-    """Tensor ``name``'s task vector, fine-tuned minus ``pretrained``, made in the fresh buffer of ``.read(name)``.
+def _subtracted(name: str, pretrained: np.ndarray, finetuned: Sequence[TensorMap]) -> np.ndarray:
+    """Tensor ``name``'s task vectors, one flat float32 row per checkpoint, not yet checked: each fine-tuned tensor
+    is read into its row (``.read(name, out=row)``), and ``pretrained`` is subtracted from them all in place."""
+    block = np.empty((len(finetuned), pretrained.size), dtype=np.float32)
+    for pos, candidate in enumerate(finetuned):
+        candidate.read(name, out=block[pos])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference is an error: see _checked
+        np.subtract(block, pretrained.reshape(-1), out=block)
+    return block
 
-    A non-finite difference is an overflow naming the checkpoint and the tensor, unless the fine-tuned values are
-    not finite themselves: ``.array(name)`` then raises the input's own error, as a checked read would have first.
-    """
-    values = finetuned.read(name)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference is an error just below
-        np.subtract(values, pretrained, out=values)
-    try:
-        return Tensor(values, error=f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
-                                    "float32")
-    except CheckpointError:
-        finetuned.array(name)
-        raise
+
+def _checked(name: str, block: np.ndarray, finetuned: Sequence[TensorMap], labels: list[str]) -> np.ndarray:
+    """``_subtracted``'s ``block``, checked for finiteness as a whole. Its first non-finite row, in checkpoint order,
+    raises the input's own error where the fine-tuned values are not finite, else an overflow naming the checkpoint."""
+    if not np.isfinite(block).all():
+        for label, candidate, row in zip(labels, finetuned, block):
+            if not np.isfinite(row).all():
+                candidate.array(name)  # a checked read: raises where the fine-tuned values themselves are not finite
+                raise CheckpointError(f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
+                                      "float32")
+    return block
 
 
 def add(base: TensorMap, delta: TensorMap) -> TensorMap:

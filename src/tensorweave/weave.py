@@ -13,10 +13,11 @@ the pooled delta are made, used and released before the next tensor.
 Each woven tensor goes to a sink in name order: ``weave`` returns them
 as a float32 model, and the CLI writes each one to its file, holding no
 whole output. The pre-trained values are read through ``.array(name)``,
-and each fine-tuned tensor through ``.read(name)``, into a fresh buffer
-that its task vector is made in: loaded maps are held whole by the
-caller, but the CLI passes open readers, which read each input tensor when
-it is woven. Beyond that, each worker thread holds a small multiple of
+and each fine-tuned tensor through ``.read(name, out=row)`` into its row of
+one float32 block, in which the tensor's task vectors are made in place and
+checked for finiteness once: loaded maps are held whole by the caller, but
+the CLI passes open readers, which read each input tensor when it is
+woven. Beyond that, each worker thread holds a small multiple of
 tasks x the tensor in flight: its pre-trained values and task vectors, the
 kernel's float64 base and intermediates, and the top member. The other
 members are cast block by block, 32K elements at a time, when the pooling
@@ -42,7 +43,7 @@ import numpy as np
 from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
 from .rng import _blocks, _check_seed, stream_key, uniform01
 from .store import Tensor, TensorMap, _Replacement, _stream, _Writer
-from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
+from .vectors import TaskVector, _check_deltas, _checked, _rebased, _subtracted, _task_labels
 
 __all__ = [
     "SearchSpace",
@@ -217,7 +218,7 @@ def _sweep_each(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: l
     """
     def produce(name: str) -> Iterator[Tensor]:
         pre = pretrained.array(name)
-        flats = [tv.values.ravel() for tv in _task_vectors(name, pre, finetuned, labels)]
+        flats = list(_checked(name, _subtracted(name, pre, finetuned), finetuned, labels))  # one block, checked once
         deltas = finish(name, flats, *_sweep(name, flats, range(1, len(flats) + 1), spec, space.lambdas))
         return (_rebased(name, pre, delta.reshape(pre.shape), pretrained[name].stored_dtype, what) for delta in deltas)
 
@@ -241,8 +242,8 @@ def weave(
     along with a run report. ``threads`` workers (at least 1) weave
     tensors in parallel; the output does not depend on their number.
     Inputs are read by tensor name (``names``, ``metadata``, ``[name]`` for the
-    shape and stored dtype, ``.array(name)`` or a fresh copy by ``.read(name)`` for
-    the values), one tensor at a time, so an open checkpoint reader serves as an input.
+    shape and stored dtype, ``.array(name)`` or ``.read(name, out=buffer)`` for the
+    values), one tensor at a time, so an open checkpoint reader serves as an input.
     """
     tensors: dict[str, Tensor] = {}
     labels = _task_labels(pretrained, finetuned, labels)

@@ -439,7 +439,6 @@ def test_magmax_index_map_scaling_invariance(rng):
 def test_bit_select_gives_the_bits_of_np_where():
     a, b, c = (np.array(row, dtype=np.float32) for row in edge_rows(3))
     for mask in (np.abs(a) > np.abs(b), np.signbit(c), np.ones(a.size, bool), np.zeros(a.size, bool)):
-        assert _bit_select(mask, a, b).tobytes() == np.where(mask, a, b).tobytes()
         trimmed = _bit_select(mask, a)
         assert trimmed.dtype == np.float32
         assert trimmed.tobytes() == np.where(mask, a, np.float32(0.0)).tobytes()

@@ -16,9 +16,11 @@ from tensorweave import (
     compute_deltas,
     cosine_matrix,
     CheckpointError,
+    MergeSpec,
     SimilarityMatrix,
     read_checkpoint,
     store,
+    weave,
     write_checkpoint,
 )
 
@@ -79,15 +81,15 @@ def write_models(folder, models: dict[str, dict[str, list[float]]], nan_at: tupl
     return paths
 
 
-def deltas_error(paths, loaded: bool) -> str:
-    """The message of the error ``compute_deltas`` raises on the models at ``paths``, pre-trained first, given
-    loaded maps or open readers; loading a model that holds a NaN raises the same message."""
+def deltas_error(paths, loaded: bool, run=compute_deltas) -> str:
+    """The message of the error ``run`` (``compute_deltas``) raises on the models at ``paths``, pre-trained first,
+    given loaded maps or open readers; loading a model that holds a NaN raises the same message."""
     with pytest.raises(CheckpointError) as caught, contextlib.ExitStack() as stack:
         if loaded:
             pre, *finetuned = (read_checkpoint(path) for path in paths)
         else:
             pre, *finetuned = (stack.enter_context(store._Reader(path)) for path in paths)
-        compute_deltas(pre, finetuned)
+        run(pre, finetuned)
     return str(caught.value)
 
 
@@ -106,6 +108,23 @@ def test_overflowing_task_vector_is_reported_before_a_later_task_s_faults(tmp_pa
     paths = write_models(tmp_path, models, nan_at=None if loaded else ("far", 1))
     expected = "task1: tensor 'x': task vector (fine-tuned minus pre-trained) overflows float32"
     assert deltas_error(paths, loaded) == expected
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+@pytest.mark.parametrize("faults", [{"nan"}, {"overflow"}, {"nan", "overflow"}])
+def test_weave_block_of_task_vectors_raises_the_first_faulty_checkpoint_s_error(tmp_path, loaded, faults):
+    # weave makes a tensor's task vectors as one block, checked once; the error is still that of the first faulty
+    # checkpoint, and the same as one task vector at a time gives: task 2's file holds a NaN (which loading
+    # refuses with the same message), task 3's difference overflows, or both
+    models = {"pre": {"x": [-3e38, 0.0, 1.0]}, "t1": {"x": [0.0, 1.0, 1.0]}, "t2": {"x": [0.0, 1.0, 1.0]},
+              "t3": {"x": [3e38, 0.0, 1.0] if "overflow" in faults else [0.0, 0.0, 1.0]}}
+    paths = write_models(tmp_path, models, nan_at=("t2", 1) if "nan" in faults else None)
+    if "nan" in faults:
+        expected = f"{paths[2]}: tensor 'x': non-finite value (NaN or Inf)"
+    else:
+        expected = "task3: tensor 'x': task vector (fine-tuned minus pre-trained) overflows float32"
+    woven = deltas_error(paths, loaded, lambda pre, finetuned: weave(pre, finetuned, MergeSpec("task_arithmetic")))
+    assert woven == deltas_error(paths, loaded) == expected
 
 
 def test_task_vectors_leave_their_inputs_as_they_were():

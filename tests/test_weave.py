@@ -614,18 +614,19 @@ def test_weave_report_fields(rng):
 def test_weave_wall_time_includes_deltas(monkeypatch, rng):
     from tensorweave import vectors
 
-    real_task_delta = vectors._task_delta
+    weave_module = importlib.import_module("tensorweave.weave")
+    real_subtracted = vectors._subtracted
     calls = []
 
-    def slow_task_delta(*args, **kwargs):
-        calls.append(args[:2])
+    def slow_subtracted(name, pretrained, finetuned):
+        calls.append((name, len(finetuned)))
         time.sleep(0.05)
-        return real_task_delta(*args, **kwargs)
+        return real_subtracted(name, pretrained, finetuned)
 
-    monkeypatch.setattr(vectors, "_task_delta", slow_task_delta)
+    monkeypatch.setattr(weave_module, "_subtracted", slow_subtracted)
     pre, finetuned = random_instance(rng, 2)
     _, report = weave(pre, finetuned, MergeSpec("task_arithmetic"))
-    assert sorted(calls) == sorted((label, name) for label in ("task1", "task2") for name in pre)
+    assert calls == [(name, 2) for name in pre]  # one read-and-subtract per tensor, of both tasks
     assert report.wall_time_s >= 0.05 * len(calls)
 
 
