@@ -32,7 +32,7 @@ from pathlib import Path
 from .analysis import AccuracyTable, best_lambda_histogram
 from .methods import _REGISTRY, MergeSpec, available_methods
 from .store import CheckpointError, FingerprintMismatch, _Entry, _Reader, _Replacement, _stream, _Writer
-from .vectors import _check_deltas, _cosine, _task_labels, _task_vectors
+from .vectors import _check_deltas, _cosine, _each_task_vector, _task_labels
 from .weave import _POOLINGS, PoolSpec, SearchSpace, _weave, _write_sweep, default_search_space, sweep_emit
 
 log = logging.getLogger("tensorweave")
@@ -220,7 +220,7 @@ def _cmd_deltas(args: argparse.Namespace) -> int:
         # task vectors are float32 whatever the pre-trained model stores, and carry no metadata
         entries = [(name, _Entry("F32", entry.shape, 0)) for name, entry in pretrained.items()]
         writers = [stack.enter_context(_Writer(target, entries, {})) for target in targets]
-        _stream(pretrained.names, lambda name: _task_vectors(name, pretrained.array(name), finetuned, labels),
+        _stream(pretrained.names, lambda name: _each_task_vector(name, pretrained, finetuned, labels),
                 [writer.write for writer in writers])
     log.info("wrote %s", ", ".join(map(str, targets)))
     return 0
@@ -253,7 +253,7 @@ def _cmd_analyze_cosine(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:  # the flats are filled tensor by tensor from the open readers
         if args.pretrained is not None:
             model, finetuned, labels = _read_inputs(args.pretrained, args.inputs, stack)
-            produce = lambda name: (t.values for t in _task_vectors(name, model.array(name), finetuned, labels))
+            produce = lambda name: (t.values for t in _each_task_vector(name, model, finetuned, labels))
         else:
             deltas = [stack.enter_context(_Reader(path)) for path in args.inputs]
             _check_deltas(deltas, "cosine_matrix")

@@ -40,25 +40,43 @@ def compute_deltas(
     """Elementwise finetuned - pretrained for each checkpoint, in order.
 
     Inputs are read by ``.array(name)`` and ``.read(name, out=buffer)`` only, so checkpoint readers serve.
-    A difference that overflows float32 raises CheckpointError naming the
+    Each task vector is made one checkpoint at a time by ``_task_vectors``, the producer ``weave`` runs too, and
+    checked once, as the ``Tensor`` it is. A difference that overflows float32 raises CheckpointError naming the
     checkpoint's label and the tensor.
     """
     labels = _task_labels(pretrained, finetuned, labels)
     tensors = [{} for _ in finetuned]
-    _stream(pretrained.names, lambda name: _task_vectors(name, pretrained.array(name), finetuned, labels),
+    _stream(pretrained.names, lambda name: _each_task_vector(name, pretrained, finetuned, labels),
             [t.__setitem__ for t in tensors])
     return [TaskVector(TensorMap(t), label, pos) for pos, (label, t) in enumerate(zip(labels, tensors), start=1)]
 
 
-def _task_vectors(name: str, pre: np.ndarray, finetuned: Sequence[TensorMap], labels: list[str]) -> Iterator[Tensor]:
-    """Tensor ``name``'s task vectors, in checkpoint order, each made (its fine-tuned tensor read) when reached."""
-    for label, candidate in zip(labels, finetuned):
-        row = _subtracted(name, pre, [candidate])
-        try:
-            tensor = Tensor(row.reshape(pre.shape))  # the one finiteness check; _checked says why it failed
-        except CheckpointError:
-            _checked(name, row, [candidate], [label])
-        yield tensor
+def _each_task_vector(name: str, pretrained: TensorMap, finetuned: Sequence[TensorMap],
+                      labels: Sequence[str]) -> Iterator[Tensor]:
+    """Tensor ``name``'s task vectors, one ``_task_vectors`` call each, in checkpoint order, each made when reached."""
+    pre = pretrained.array(name)
+    return (_task_vectors(name, pre, [candidate], [label]) for label, candidate in zip(labels, finetuned))
+
+
+def _task_vectors(name: str, pre: np.ndarray, finetuned: Sequence[TensorMap], labels: Sequence[str]) -> Tensor:
+    """Tensor ``name``'s task vectors of ``finetuned``, as one Tensor: of ``pre``'s shape for one checkpoint, else a
+    flat row per checkpoint. Each fine-tuned tensor is read into its row of one float32 block (``.read(name,
+    out=row)``), ``pre`` is subtracted in place, and the Tensor, a view of the block, is its one finiteness check.
+    On a failure, the first non-finite row, in checkpoint order, raises the input's own error where the fine-tuned
+    values are not finite, else an overflow naming the checkpoint's label."""
+    block = np.empty((len(finetuned), pre.size), dtype=np.float32)
+    for candidate, row in zip(finetuned, block):
+        candidate.read(name, out=row)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference is an error: see below
+        np.subtract(block, pre.reshape(-1), out=block)
+    try:
+        return Tensor(block.reshape(pre.shape) if len(block) == 1 else block)
+    except CheckpointError:
+        label, candidate = next((label, candidate) for label, candidate, row in zip(labels, finetuned, block)
+                                if not np.isfinite(row).all())
+        candidate.array(name)  # a checked read: raises where the fine-tuned values themselves are not finite
+        raise CheckpointError(f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
+                              "float32") from None
 
 
 def _task_labels(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: Sequence[str] | None) -> list[str]:
@@ -78,29 +96,6 @@ def _check_deltas(maps: Sequence[TensorMap], caller: str, kind: str = "task vect
         raise ValueError(f"{caller} needs at least one {kind}")
     for pos, candidate in enumerate(maps[1:], start=2):
         require_compatible(maps[0], candidate, label=f"{kind} {pos}")
-
-
-def _subtracted(name: str, pretrained: np.ndarray, finetuned: Sequence[TensorMap]) -> np.ndarray:
-    """Tensor ``name``'s task vectors, one flat float32 row per checkpoint, not yet checked: each fine-tuned tensor
-    is read into its row (``.read(name, out=row)``), and ``pretrained`` is subtracted from them all in place."""
-    block = np.empty((len(finetuned), pretrained.size), dtype=np.float32)
-    for pos, candidate in enumerate(finetuned):
-        candidate.read(name, out=block[pos])
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference is an error: see _checked
-        np.subtract(block, pretrained.reshape(-1), out=block)
-    return block
-
-
-def _checked(name: str, block: np.ndarray, finetuned: Sequence[TensorMap], labels: list[str]) -> np.ndarray:
-    """``_subtracted``'s ``block``, checked for finiteness as a whole. Its first non-finite row, in checkpoint order,
-    raises the input's own error where the fine-tuned values are not finite, else an overflow naming the checkpoint."""
-    if not np.isfinite(block).all():
-        for label, candidate, row in zip(labels, finetuned, block):
-            if not np.isfinite(row).all():
-                candidate.array(name)  # a checked read: raises where the fine-tuned values themselves are not finite
-                raise CheckpointError(f"{label}: tensor {name!r}: task vector (fine-tuned minus pre-trained) overflows "
-                                      "float32")
-    return block
 
 
 def add(base: TensorMap, delta: TensorMap) -> TensorMap:

@@ -12,18 +12,19 @@ task vectors, the merge kernel's base, the members the pooling needs and
 the pooled delta are made, used and released before the next tensor.
 Each woven tensor goes to a sink in name order: ``weave`` returns them
 as a float32 model, and the CLI writes each one to its file, holding no
-whole output. The pre-trained values are read through ``.array(name)``,
-and each fine-tuned tensor through ``.read(name, out=row)`` into its row of
-one float32 block, in which the tensor's task vectors are made in place and
-checked for finiteness once: loaded maps are held whole by the caller, but
-the CLI passes open readers, which read each input tensor when it is
-woven. Beyond that, each worker thread holds a small multiple of
-tasks x the tensor in flight: its pre-trained values and task vectors, the
-kernel's float64 base and intermediates, and the top member. The other
-members are cast block by block, 32K elements at a time, when the pooling
-reaches them: ``avg`` adds each into a float64 block, ``random`` stacks
-one block of every member, and ``magmax`` casts none, since a member that
-ties the top one in magnitude has its bits.
+whole output. The pre-trained values are read through ``.array(name)``.
+The tensor's task vectors come from ``vectors._task_vectors``, the one
+producer of task vectors: it reads each fine-tuned tensor through
+``.read(name, out=row)`` into its row of one float32 block, makes them
+in place, and checks the block as one ``Tensor``. Loaded maps are held
+whole by the caller, but the CLI passes open readers, which read each
+input tensor when it is woven. Beyond that, each worker thread holds a
+small multiple of tasks x the tensor in flight: its pre-trained values
+and task vectors, the kernel's float64 base and intermediates, and the
+top member. The other members are cast block by block, 32K elements at a
+time, when the pooling reaches them: ``avg`` adds each into a float64
+block, ``random`` stacks one block of every member, and ``magmax`` casts
+none, since a member that ties the top one in magnitude has its bits.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .methods import MergeSpec, _accumulate, _builtin, _largest_magnitude, _member_maps, _sweep, registry_lookup
 from .rng import _blocks, _check_seed, stream_key, uniform01
 from .store import Tensor, TensorMap, _Replacement, _stream, _Writer
-from .vectors import TaskVector, _check_deltas, _checked, _rebased, _subtracted, _task_labels
+from .vectors import TaskVector, _check_deltas, _rebased, _task_labels, _task_vectors
 
 __all__ = [
     "SearchSpace",
@@ -218,7 +219,7 @@ def _sweep_each(pretrained: TensorMap, finetuned: Sequence[TensorMap], labels: l
     """
     def produce(name: str) -> Iterator[Tensor]:
         pre = pretrained.array(name)
-        flats = list(_checked(name, _subtracted(name, pre, finetuned), finetuned, labels))  # one block, checked once
+        flats = list(_task_vectors(name, pre, finetuned, labels).values.reshape(len(finetuned), -1))
         deltas = finish(name, flats, *_sweep(name, flats, range(1, len(flats) + 1), spec, space.lambdas))
         return (_rebased(name, pre, delta.reshape(pre.shape), pretrained[name].stored_dtype, what) for delta in deltas)
 

@@ -20,6 +20,7 @@ from tensorweave import (
     Tensor,
     TensorMap,
     add,
+    compute_deltas,
     read_checkpoint,
     store,
     weave,
@@ -358,6 +359,7 @@ def test_reader_agrees_with_the_reference_reader_on_mutated_fixtures(tmp_path_fa
     # names, stored dtypes, shapes, value bits and metadata that the reference loads
     # inspect, which reads every tensor the same way, exits 0, or exits 1 with the reader's error as its one line
     target = tmp_path_factory.getbasetemp() / "mutated.safetensors"
+    target.unlink(missing_ok=True)  # truncating a file just written can wait on the file system to flush it
     target.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # capsys is function-scoped
@@ -454,6 +456,7 @@ def test_each_produced_tensor_is_checked_for_finiteness_once(tmp_path, monkeypat
         (lambda: add(base, base), 1),
         (lambda: TensorMap(arrays), 1),
         (lambda: weave(base, [base, base], spec), 3),  # the block of task vectors, the top member, the woven map
+        (lambda: compute_deltas(base, [base, base]), 2),  # each task vector, one at a time
     ):
         calls.clear()
         build()

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,12 @@ def test_summary_needs_two_pairs():
         trail.summarize([1.0], [1.0])
     with pytest.raises(ValueError):
         trail.summarize([1.0, 2.0], [1.0])
+
+
+def test_workloads_and_metric_directions_are_the_benchmark_s():
+    benchmark = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    assert trail.WORKLOADS == tuple(workload["name"] for workload in benchmark["workloads"])
+    assert trail.RUN_SECONDS == benchmark["run_seconds"]
+    directions = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    assert set(directions.values()) == {"lower", "higher"}
+    assert trail.HIGHER_IS_BETTER == {name for name, better in directions.items() if better == "higher"}

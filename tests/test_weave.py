@@ -615,15 +615,15 @@ def test_weave_wall_time_includes_deltas(monkeypatch, rng):
     from tensorweave import vectors
 
     weave_module = importlib.import_module("tensorweave.weave")
-    real_subtracted = vectors._subtracted
+    real_task_vectors = vectors._task_vectors
     calls = []
 
-    def slow_subtracted(name, pretrained, finetuned):
+    def slow_task_vectors(name, pretrained, finetuned, labels):
         calls.append((name, len(finetuned)))
         time.sleep(0.05)
-        return real_subtracted(name, pretrained, finetuned)
+        return real_task_vectors(name, pretrained, finetuned, labels)
 
-    monkeypatch.setattr(weave_module, "_subtracted", slow_subtracted)
+    monkeypatch.setattr(weave_module, "_task_vectors", slow_task_vectors)
     pre, finetuned = random_instance(rng, 2)
     _, report = weave(pre, finetuned, MergeSpec("task_arithmetic"))
     assert calls == [(name, 2) for name in pre]  # one read-and-subtract per tensor, of both tasks

@@ -2,12 +2,12 @@
 
 Each checkout runs its own, unedited ``perfbench/run.py`` (``--trace 0``) on every workload, the two
 alternating and taking turns to go first, ten times per workload, each run as long as the benchmark's
-``run_seconds`` in ``BENCHMARK.json``. Per workload and end-to-end metric the file holds each side's samples
-(one per run) with their median and quartiles, the per-pair ratios (change over parent) with their median,
-and the pairs the change wins; per workload also both sides' output SHA-256s and whether every run was
-correct. The run context is perfbench's own (CPU, caches,
-Python, numpy, memory), plus a digest of each side's package source. Standard library only; from the root
-of this repository:
+``run_seconds``; the workloads, and which metrics are better higher, are ``BENCHMARK.json``'s too. Per
+workload and end-to-end metric the file holds each side's samples (one per run) with their median and
+quartiles, the per-pair ratios (change over parent) with their median, and the pairs the change wins; per
+workload also both sides' output SHA-256s and whether every run was correct. The run context is perfbench's
+own (CPU, caches, Python, numpy, memory), plus a digest of each side's package source. Standard library only;
+from the root of this repository:
 
     python3 tools/trail.py PARENT_CHECKOUT CHANGE_CHECKOUT --seed 4242 --out BENCH_prN.json
 
@@ -24,10 +24,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("weave_ties", "weave_many", "sweep_dare")
 PAIRS = 10  # the fewest pairs that can support a claim of a gain
-RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
-HIGHER_IS_BETTER = {"ok_frac"}
+_BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(workload["name"] for workload in _BENCHMARK["workloads"])
+RUN_SECONDS = _BENCHMARK["run_seconds"]
+HIGHER_IS_BETTER = {metric["name"] for metric in _BENCHMARK["end_to_end"] if metric["better"] == "higher"}
 
 
 def summarize(parent: list[float], change: list[float], higher_is_better: bool = False) -> dict:
